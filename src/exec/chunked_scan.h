@@ -1,27 +1,38 @@
 // Out-of-core group-by execution over an mmap-backed chunked table file.
 //
 // ExecuteGroupByMapped runs a group-by query over a MappedTable without
-// ever materializing it, in two phases. Phase 1 is a sequential
-// chunk-order pass that consults the file's zone maps — a chunk the WHERE
-// clause provably rejects is excluded from phase 2 with only its group-by
-// columns decoded (group discovery must still see every row so group
-// emission order matches the in-memory executor) — and assigns every row's
-// dense first-occurrence group id. Phase 2 is morsel-parallel over the
-// surviving chunks, in waves: each chunk decodes and evaluates its WHERE /
-// COUNT_IF masks on its own worker (provably-accepted chunks skip
-// predicate evaluation), then workers owning disjoint contiguous gid
-// ranges accumulate the wave straight into the global arrays. Decoded
-// chunks flow through the process-wide LRU chunk cache
-// (CVOPT_CHUNK_CACHE_BYTES), so peak memory is one decode wave's worth of
-// columns plus the cache budget and the row->gid map, regardless of table
-// size.
+// ever materializing it. It decodes only the columns the query reads —
+// group-by columns, aggregate inputs, and the columns its WHERE clause and
+// COUNT_IF filters name — and reads them in place from the decoded-chunk
+// cache (CVOPT_CHUNK_CACHE_BYTES). Two phases:
 //
-// Determinism contract: group ids are assigned by the sequential discovery
-// pass in ascending row order, and each group's values are added in
-// ascending row order by exactly one worker (gid-range ownership, chunks
-// walked in order within and across waves) — the QueryResult is bitwise
-// identical (groups, order, labels, values) to ExecuteExact on the
-// materialized table, for every thread count and chunk geometry.
+//   1. Discovery (sequential, chunk order): each chunk's zone maps are
+//      classified against the WHERE clause, and its group-by columns are
+//      routed through a StreamGroupRouter, recording every row's dense
+//      first-occurrence group id. Every chunk is routed — even one the
+//      zone maps refute — so group order matches the in-memory executor.
+//   2. Accumulation (morsel-parallel, in waves over the chunks the zone
+//      maps could not refute): each chunk decodes its aggregate input and
+//      predicate columns on its own worker, evaluates its WHERE / COUNT_IF
+//      masks (provably-accepted chunks skip the WHERE), and buckets its
+//      surviving rows by the worker that owns their group id range; each
+//      owner then walks only its own buckets, chunks in order and rows
+//      ascending, adding straight into the global accumulators.
+//
+// Peak memory is the row->gid map, one decode wave's projected columns and
+// buckets, and the cache budget. When the ambient QueryContext refuses the
+// row->gid map, a fused serial scan routes and accumulates one chunk at a
+// time instead.
+//
+// Determinism contract: every group's values are added in ascending row
+// order by exactly one worker, in both scan shapes. Hence:
+//   * the mapped answer is bitwise identical to itself across thread
+//     counts, chunk geometry, cache budget, zone pruning on/off, and the
+//     serial-degraded vs parallel scan;
+//   * at one execution thread it is bitwise identical (groups, order,
+//     labels, values) to ExecuteExact on the materialized table. Above one
+//     thread ExecuteExact's float sums reassociate by its own morsel
+//     chunking, so the two agree only within float-summation tolerance.
 #ifndef CVOPT_EXEC_CHUNKED_SCAN_H_
 #define CVOPT_EXEC_CHUNKED_SCAN_H_
 

@@ -24,6 +24,9 @@ constexpr uint64_t kWideHashSeed = 0x2545F4914F6CDD1DULL;
 // Largest dense remap the direct tier may allocate: 2^22 4-byte slots
 // (16 MiB), far above any realistic grouping-key domain but bounded.
 constexpr int kDirectBits = 22;
+// The streaming router's dense remap (packed key -> id) is rebuilt on
+// every widening, so it stays small: 2^16 slots (256 KiB).
+constexpr int kRouterDirectBits = 16;
 
 size_t NextPow2(size_t x) {
   size_t c = 1;
@@ -1068,6 +1071,22 @@ StreamGroupRouter::StreamGroupRouter(const Table* table,
     p.is_string = col.type() == DataType::kString;
     plans_.push_back(p);
   }
+  InitLayout(expected_groups);
+}
+
+StreamGroupRouter::StreamGroupRouter(const std::vector<DataType>& types,
+                                     size_t expected_groups) {
+  plans_.reserve(types.size());
+  for (DataType type : types) {
+    CVOPT_CHECK(type != DataType::kDouble, "cannot route by a double column");
+    ColPlan p;
+    p.is_string = type == DataType::kString;
+    plans_.push_back(p);
+  }
+  InitLayout(expected_groups);
+}
+
+void StreamGroupRouter::InitLayout(size_t expected_groups) {
   // Minimal initial widths: every column starts at one bit and widens as
   // codes appear, so the packed layout always reflects only what the
   // stream has shown so far (no pre-scan). More columns than packable bits
@@ -1082,24 +1101,35 @@ StreamGroupRouter::StreamGroupRouter(const Table* table,
   slots_.assign(NextPow2(std::max<size_t>(64, 2 * expected_groups)), Slot{});
   mask_ = slots_.size() - 1;
   codes_.reserve(plans_.size() * expected_groups);
+  Rebuild();
 }
 
-uint64_t StreamGroupRouter::PackRaw(int64_t raw, bool is_string) {
-  if (is_string) {
+void StreamGroupRouter::BindTableColumns() {
+  // Storage is re-read through the column on every call: a growing stream
+  // may have reallocated it since the previous Offer.
+  for (ColPlan& p : plans_) {
+    CVOPT_CHECK(p.col != nullptr, "span-bound router has no table rows");
+    p.span = {p.col->ints().data(), p.col->codes().data()};
+  }
+}
+
+uint64_t StreamGroupRouter::PackRaw(int64_t raw, const ColPlan& p) {
+  if (p.is_string) {
     return static_cast<uint64_t>(static_cast<uint32_t>(raw));
   }
-  // Zig-zag: small-magnitude ints of either sign pack into few bits.
-  return (static_cast<uint64_t>(raw) << 1) ^ static_cast<uint64_t>(raw >> 63);
+  // Offset from the column's base: a narrow value range packs into few
+  // bits wherever it sits (years, negative ids). Wrapping is exact for
+  // raw >= base.
+  return static_cast<uint64_t>(raw) - static_cast<uint64_t>(p.base);
 }
 
-uint64_t StreamGroupRouter::PackedCode(const ColPlan& p, uint32_t row) const {
-  return PackRaw(RawCode(p, row), p.is_string);
+bool StreamGroupRouter::Fits(const ColPlan& p, int64_t lo, int64_t hi) {
+  if (!p.is_string && (!p.based || lo < p.base)) return false;
+  return p.bits >= 64 || (PackRaw(hi, p) >> p.bits) == 0;
 }
 
 int64_t StreamGroupRouter::RawCode(const ColPlan& p, uint32_t row) const {
-  // Storage is re-read through the column on every call: a growing stream
-  // may have reallocated it since the previous Offer.
-  return p.is_string ? p.col->codes()[row] : p.col->ints()[row];
+  return p.is_string ? p.span.codes[row] : p.span.ints[row];
 }
 
 uint64_t StreamGroupRouter::PackGroup(size_t g) const {
@@ -1107,7 +1137,7 @@ uint64_t StreamGroupRouter::PackGroup(size_t g) const {
   uint64_t key = 0;
   for (size_t j = 0; j < plans_.size(); ++j) {
     const ColPlan& p = plans_[j];
-    key |= PackRaw(raw[j], p.is_string) << p.shift;
+    key |= PackRaw(raw[j], p) << p.shift;
   }
   return key;
 }
@@ -1151,6 +1181,7 @@ void StreamGroupRouter::PlaceSlot(std::vector<Slot>& slots, size_t mask,
 uint32_t StreamGroupRouter::Insert(size_t idx, uint64_t key, uint32_t row) {
   const uint32_t id = static_cast<uint32_t>(groups_++);
   slots_[idx] = {key, id};
+  if (!direct_.empty()) direct_[key] = id;
   for (const ColPlan& p : plans_) codes_.push_back(RawCode(p, row));
   if (groups_ * 10 >= slots_.size() * 7) GrowSlots();
   return id;
@@ -1166,15 +1197,26 @@ void StreamGroupRouter::GrowSlots() {
   mask_ = mask;
 }
 
-void StreamGroupRouter::Widen(size_t col, uint64_t code) {
-  // New field width for the offending column: the bit length of the code.
+void StreamGroupRouter::Widen(size_t col, int64_t lo, int64_t hi) {
+  ColPlan& p = plans_[col];
+  uint64_t any = 0;  // OR of the packed codes to admit: their bit length
+  if (!p.is_string && (!p.based || lo < p.base)) {
+    // Re-base below the smallest code seen: every stored group re-packs
+    // relative to the new base, so its width is recomputed from them.
+    p.base = lo;
+    p.based = true;
+    for (size_t g = 0; g < groups_; ++g) {
+      any |= PackRaw(codes_[g * plans_.size() + col], p);
+    }
+  }
+  any |= PackRaw(hi, p);
   int need = 0;
-  for (uint64_t v = code; v != 0; v >>= 1) ++need;
-  plans_[col].bits = std::max(plans_[col].bits, need);
+  for (uint64_t v = any; v != 0; v >>= 1) ++need;
+  p.bits = std::max(p.bits, need);
   int shift = 0;
-  for (ColPlan& p : plans_) {
-    p.shift = std::min(shift, 63);
-    shift += p.bits;
+  for (ColPlan& q : plans_) {
+    q.shift = std::min(shift, 63);
+    shift += q.bits;
   }
   total_bits_ = shift;
   if (total_bits_ > 64) wide_ = true;  // permanent: widths only grow
@@ -1186,9 +1228,14 @@ void StreamGroupRouter::Rebuild() {
   // or wide-tier hashes after the switch). Distinct groups stay distinct,
   // so collisions only probe forward into empty slots.
   std::fill(slots_.begin(), slots_.end(), Slot{});
+  direct_.clear();
+  if (!wide_ && total_bits_ <= kRouterDirectBits) {
+    direct_.assign(size_t{1} << total_bits_, kEmptyId);
+  }
   for (size_t g = 0; g < groups_; ++g) {
     const uint64_t key = wide_ ? WideHashGroup(g) : PackGroup(g);
     PlaceSlot(slots_, mask_, {key, static_cast<uint32_t>(g)});
+    if (!direct_.empty()) direct_[key] = static_cast<uint32_t>(g);
   }
 }
 
@@ -1198,30 +1245,33 @@ uint32_t StreamGroupRouter::Route(uint32_t row) {
     if (groups_ == 0) groups_ = 1;
     return 0;
   }
+  BindTableColumns();
+  return RouteBound(row);
+}
+
+uint32_t StreamGroupRouter::RouteBound(uint32_t row) {
   while (!wide_) {
     uint64_t key = 0;
     size_t widened = plans_.size();
     for (size_t j = 0; j < plans_.size(); ++j) {
       const ColPlan& p = plans_[j];
-      const uint64_t code = PackedCode(p, row);
-      if (p.bits < 64 && (code >> p.bits) != 0) {
+      const int64_t raw = RawCode(p, row);
+      if (!Fits(p, raw, raw)) {
         widened = j;
         break;
       }
-      key |= code << p.shift;
+      key |= PackRaw(raw, p) << p.shift;
     }
     if (widened != plans_.size()) {
-      // A code outgrew its field: widen, re-pack the known groups, and
-      // retry (possibly in the wide tier now).
-      Widen(widened, PackedCode(plans_[widened], row));
+      // A code fell outside its field: widen (or re-base), re-pack the
+      // known groups, and retry (possibly in the wide tier now).
+      const int64_t raw = RawCode(plans_[widened], row);
+      Widen(widened, raw, raw);
       continue;
     }
-    size_t idx = static_cast<size_t>(HashMix64(key)) & mask_;
-    while (slots_[idx].id != kEmptyId) {
-      if (slots_[idx].key == key) return slots_[idx].id;
-      idx = (idx + 1) & mask_;
-    }
-    return Insert(idx, key, row);
+    uint32_t id;
+    LookupKeys(&key, 1, [row](size_t) { return row; }, &id);
+    return id;
   }
   return RouteWide(row);
 }
@@ -1233,58 +1283,163 @@ void StreamGroupRouter::RouteBatch(const uint32_t* rows, size_t n,
     std::fill(out, out + n, 0u);
     return;
   }
+  BindTableColumns();
+  RouteBatchBound([rows](size_t i) { return rows[i]; }, n, out);
+}
+
+void StreamGroupRouter::RouteSpans(const GroupCodeSpan* spans, size_t n,
+                                   uint32_t* out) {
+  if (plans_.empty()) {
+    if (groups_ == 0 && n > 0) groups_ = 1;
+    std::fill(out, out + n, 0u);
+    return;
+  }
+  for (size_t j = 0; j < plans_.size(); ++j) plans_[j].span = spans[j];
+  // Column at a time over blocks of rows. Every field first widens to fit
+  // the block's largest code — ids depend only on first-seen order, never
+  // on when a field widened — so packing the block cannot overflow.
+  constexpr size_t kBlock = 512;
+  uint64_t keys[kBlock];
+  for (size_t lo = 0; lo < n; lo += kBlock) {
+    const size_t m = std::min(kBlock, n - lo);
+    for (size_t j = 0; j < plans_.size() && !wide_; ++j) {
+      int64_t min_raw, max_raw;
+      SpanRange(plans_[j], lo, m, &min_raw, &max_raw);
+      if (!Fits(plans_[j], min_raw, max_raw)) Widen(j, min_raw, max_raw);
+    }
+    if (wide_) {
+      for (size_t i = 0; i < m; ++i) {
+        out[lo + i] = RouteWide(static_cast<uint32_t>(lo + i));
+      }
+      continue;
+    }
+    std::fill(keys, keys + m, uint64_t{0});
+    for (const ColPlan& p : plans_) PackSpan(p, lo, m, keys);
+    LookupKeys(keys, m,
+               [lo](size_t i) { return static_cast<uint32_t>(lo + i); },
+               out + lo);
+  }
+}
+
+void StreamGroupRouter::SpanRange(const ColPlan& p, size_t lo, size_t m,
+                                  int64_t* min_raw, int64_t* max_raw) {
+  if (p.is_string) {
+    // Dictionary codes are non-negative: their OR has the bit length of
+    // their maximum, which is all Fits and Widen look at.
+    uint32_t any = 0;
+    for (size_t i = 0; i < m; ++i) {
+      any |= static_cast<uint32_t>(p.span.codes[lo + i]);
+    }
+    *min_raw = 0;
+    *max_raw = any;
+    return;
+  }
+  int64_t mn = INT64_MAX, mx = INT64_MIN;
+  for (size_t i = 0; i < m; ++i) {
+    mn = std::min(mn, p.span.ints[lo + i]);
+    mx = std::max(mx, p.span.ints[lo + i]);
+  }
+  *min_raw = mn;
+  *max_raw = mx;
+}
+
+void StreamGroupRouter::PackSpan(const ColPlan& p, size_t lo, size_t m,
+                                 uint64_t* keys) {
+  // Type-specialized loops (PackRaw's two cases) with no per-row branch.
+  const int shift = p.shift;
+  if (p.is_string) {
+    const int32_t* raw = p.span.codes + lo;
+    for (size_t i = 0; i < m; ++i) {
+      keys[i] |= uint64_t{static_cast<uint32_t>(raw[i])} << shift;
+    }
+  } else {
+    const int64_t* raw = p.span.ints + lo;
+    const uint64_t base = static_cast<uint64_t>(p.base);
+    for (size_t i = 0; i < m; ++i) {
+      keys[i] |= (static_cast<uint64_t>(raw[i]) - base) << shift;
+    }
+  }
+}
+
+template <class RowAt>
+void StreamGroupRouter::RouteBatchBound(RowAt row_at, size_t n,
+                                        uint32_t* out) {
   constexpr size_t kBatch = 8;
-  const simd::Ops* ops = simd::ActiveOps();
   uint64_t keys[kBatch];
-  uint64_t hashes[kBatch];
   size_t i = 0;
   while (i + kBatch <= n && !wide_) {
     // Pack the whole block under the current field layout. A code that
-    // outgrows its field sends the entire block through per-row Route —
+    // outgrows its field sends the entire block through per-row routing —
     // no probes have run yet, so the widen/retry sequence (and any group
     // ids it assigns) is exactly what the serial loop would produce.
     bool overflow = false;
     for (size_t j = 0; j < kBatch && !overflow; ++j) {
       uint64_t key = 0;
       for (const ColPlan& p : plans_) {
-        const uint64_t code = PackedCode(p, rows[i + j]);
-        if (p.bits < 64 && (code >> p.bits) != 0) {
+        const int64_t raw = RawCode(p, row_at(i + j));
+        if (!Fits(p, raw, raw)) {
           overflow = true;
           break;
         }
-        key |= code << p.shift;
+        key |= PackRaw(raw, p) << p.shift;
       }
       keys[j] = key;
     }
     if (overflow) {
-      for (size_t j = 0; j < kBatch; ++j) out[i + j] = Route(rows[i + j]);
-      i += kBatch;
-      continue;
-    }
-    if (ops != nullptr) {
-      ops->hash_mix64_x8(keys, hashes);
+      for (size_t j = 0; j < kBatch; ++j) {
+        out[i + j] = RouteBound(row_at(i + j));
+      }
     } else {
-      for (size_t j = 0; j < kBatch; ++j) hashes[j] = HashMix64(keys[j]);
+      LookupKeys(keys, kBatch, [&](size_t j) { return row_at(i + j); },
+                 out + i);
     }
-    for (size_t j = 0; j < kBatch; ++j) {
+    i += kBatch;
+  }
+  for (; i < n; ++i) out[i] = RouteBound(row_at(i));
+}
+
+template <class RowAt>
+void StreamGroupRouter::LookupKeys(const uint64_t* keys, size_t m,
+                                   RowAt row_at, uint32_t* out) {
+  if (!direct_.empty()) {
+    // Small packed domain: the dense remap answers without hashing.
+    for (size_t i = 0; i < m; ++i) {
+      out[i] = direct_[keys[i]];
+      if (out[i] == kEmptyId) {
+        size_t idx = static_cast<size_t>(HashMix64(keys[i])) & mask_;
+        while (slots_[idx].id != kEmptyId) idx = (idx + 1) & mask_;
+        out[i] = Insert(idx, keys[i], row_at(i));
+      }
+    }
+    return;
+  }
+  constexpr size_t kBatch = 8;
+  const simd::Ops* ops = simd::ActiveOps();
+  uint64_t hashes[kBatch];
+  for (size_t i = 0; i < m; i += kBatch) {
+    const size_t b = std::min(kBatch, m - i);
+    if (b == kBatch && ops != nullptr) {
+      ops->hash_mix64_x8(keys + i, hashes);
+    } else {
+      for (size_t j = 0; j < b; ++j) hashes[j] = HashMix64(keys[i + j]);
+    }
+    for (size_t j = 0; j < b; ++j) {
       simd::PrefetchRead(&slots_[static_cast<size_t>(hashes[j]) & mask_]);
     }
     // Probe in position order; Insert may GrowSlots mid-block, so each
     // probe recomputes its start index from the current mask (the stale
     // prefetches above are harmless).
-    for (size_t j = 0; j < kBatch; ++j) {
+    for (size_t j = 0; j < b; ++j) {
       size_t idx = static_cast<size_t>(hashes[j]) & mask_;
       while (slots_[idx].id != kEmptyId) {
-        if (slots_[idx].key == keys[j]) break;
+        if (slots_[idx].key == keys[i + j]) break;
         idx = (idx + 1) & mask_;
       }
       out[i + j] = slots_[idx].id != kEmptyId
                        ? slots_[idx].id
-                       : Insert(idx, keys[j], rows[i + j]);
+                       : Insert(idx, keys[i + j], row_at(i + j));
     }
-    i += kBatch;
   }
-  for (; i < n; ++i) out[i] = Route(rows[i]);
 }
 
 uint32_t StreamGroupRouter::RouteWide(uint32_t row) {

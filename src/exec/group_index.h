@@ -195,20 +195,36 @@ class GroupIndex {
   std::shared_ptr<const GroupPartitions> partitions_;  // radix builds only
 };
 
+/// Raw grouping codes of one caller-held chunk of rows for one grouping
+/// column: `ints` for an int64 column, `codes` (dictionary codes) for a
+/// string column. Row i of the chunk is ints[i] / codes[i].
+struct GroupCodeSpan {
+  const int64_t* ints = nullptr;
+  const int32_t* codes = nullptr;
+};
+
 /// Incremental dense-id router for streaming rows — the one-pass analogue
 /// of GroupIndex::Build's packed/wide tiers. Rows arrive one at a time with
 /// no pre-scan, and each maps to a dense group id in first-seen order, so a
 /// table replayed in row order yields exactly GroupIndex::Build's
 /// row_groups ids. Per-column codes bit-pack into one uint64 while they fit
-/// (strings by dictionary code, ints zig-zag encoded so negative values
-/// pack tightly); field widths start minimal and widen as larger codes
-/// appear mid-stream (dictionary growth), re-packing the already-routed
-/// groups from their stored codes. Once the packed widths exceed 64 bits
-/// the router switches permanently to the wide tier (composite hash +
-/// stored-code compare). The Route path performs no GroupKey
+/// (strings by dictionary code, ints as the offset from the smallest value
+/// seen, so a narrow range packs tightly wherever it sits); field widths
+/// start minimal and widen as larger codes — or smaller ints, which move
+/// the base — appear mid-stream (dictionary growth), re-packing the
+/// already-routed groups from their stored codes. Once the packed widths
+/// exceed 64 bits the router switches permanently to the wide tier
+/// (composite hash + stored-code compare). The Route path performs no GroupKey
 /// materialization, per-row code-vector writes, or per-key heap allocation
 /// — this replaces the flat GroupKeyInterner in the streaming CVOPT
 /// sampler's per-row stratum routing.
+///
+/// Two row sources: a Table-bound router (streaming sampler) routes table
+/// rows through Route / RouteBatch; a span-bound router (out-of-core scan)
+/// routes chunks of rows straight from caller-supplied code spans through
+/// RouteSpans, so decoded storage chunks are read in place. Both feed the
+/// same tiers, so a chunked replay of a table's rows assigns the same ids
+/// as Route over those rows.
 class StreamGroupRouter {
  public:
   /// `cols` are grouping column indices in `table` (int64 or string; an
@@ -219,15 +235,30 @@ class StreamGroupRouter {
   StreamGroupRouter(const Table* table, std::vector<size_t> cols,
                     size_t expected_groups = 0);
 
+  /// Span-bound router over grouping columns of the given types (int64 or
+  /// string), fed only through RouteSpans.
+  explicit StreamGroupRouter(const std::vector<DataType>& types,
+                             size_t expected_groups = 0);
+
   /// Dense id of the row's group, assigning the next id on first sight
-  /// (`Route(r) == num_groups()-before` detects a new group).
+  /// (`Route(r) == num_groups()-before` detects a new group). Table-bound
+  /// routers only.
   uint32_t Route(uint32_t row);
 
   /// Batched Route: writes out[i] = Route(rows[i]) for i in [0, n), with
   /// identical id assignment and tier transitions to the per-row loop (the
   /// batch pipelines key packing + hashing + slot prefetch on the packed
   /// tier and degrades to per-row Route on widening or the wide tier).
+  /// Table-bound routers only.
   void RouteBatch(const uint32_t* rows, size_t n, uint32_t* out);
+
+  /// Routes the n rows of one caller-held chunk: spans[j] holds grouping
+  /// column j's codes for those rows. out[i] is row i's dense id, assigned
+  /// exactly as n successive Route calls over the same codes would (field
+  /// widening, and so the switch to the wide tier, may come up to one
+  /// internal block of rows earlier). The spans are read only during the
+  /// call.
+  void RouteSpans(const GroupCodeSpan* spans, size_t n, uint32_t* out);
 
   size_t num_groups() const { return groups_; }
   size_t arity() const { return plans_.size(); }
@@ -241,10 +272,13 @@ class StreamGroupRouter {
 
  private:
   struct ColPlan {
-    const Column* col = nullptr;
-    bool is_string = false;  // dictionary codes vs raw int64 values
-    int bits = 1;            // current packed field width
+    const Column* col = nullptr;  // null for span-bound routers
+    bool is_string = false;       // dictionary codes vs raw int64 values
+    int bits = 1;                 // current packed field width
     int shift = 0;
+    int64_t base = 0;             // ints: smallest code seen so far
+    bool based = false;           // ints: base set by the first code
+    GroupCodeSpan span;           // codes of the rows being routed
   };
   struct Slot {
     uint64_t key = 0;  // packed key (packed tier) or composite hash (wide)
@@ -252,12 +286,21 @@ class StreamGroupRouter {
   };
 
   // The one raw-code -> packed-field mapping (dictionary codes verbatim,
-  // ints zig-zag): probing on a live row and re-packing a stored group MUST
-  // agree byte for byte, so both go through this helper.
-  static uint64_t PackRaw(int64_t raw, bool is_string);
+  // ints as the offset from the column's base): probing on a live row and
+  // re-packing a stored group MUST agree byte for byte, so both go through
+  // this helper.
+  static uint64_t PackRaw(int64_t raw, const ColPlan& p);
+  // True when raw codes in [lo, hi] pack into p's current field.
+  static bool Fits(const ColPlan& p, int64_t lo, int64_t hi);
 
-  uint64_t PackedCode(const ColPlan& p, uint32_t row) const;
+  void InitLayout(size_t expected_groups);
+  // Points every plan's span at its Table column's current storage.
+  void BindTableColumns();
   int64_t RawCode(const ColPlan& p, uint32_t row) const;
+  // Block helpers of RouteSpans over rows [lo, lo + m) of the bound spans.
+  static void SpanRange(const ColPlan& p, size_t lo, size_t m,
+                        int64_t* min_raw, int64_t* max_raw);
+  static void PackSpan(const ColPlan& p, size_t lo, size_t m, uint64_t* keys);
   uint64_t PackGroup(size_t g) const;
   uint64_t WideHashRow(uint32_t row) const;
   uint64_t WideHashGroup(size_t g) const;
@@ -267,9 +310,20 @@ class StreamGroupRouter {
   // growth and rebuild so relocated slots stay findable by Route's probes.
   void PlaceSlot(std::vector<Slot>& slots, size_t mask, Slot s) const;
   uint32_t Insert(size_t idx, uint64_t key, uint32_t row);
-  void Widen(size_t col, uint64_t code);
+  // Re-lays the fields so column `col` admits raw codes in [lo, hi].
+  void Widen(size_t col, int64_t lo, int64_t hi);
   void Rebuild();
   void GrowSlots();
+  // Route / RouteBatch over rows of the currently bound spans; RowAt maps
+  // a batch position to its row. Defined (and instantiated) in the .cc.
+  uint32_t RouteBound(uint32_t row);
+  template <class RowAt>
+  void RouteBatchBound(RowAt row_at, size_t n, uint32_t* out);
+  // Packed-tier lookup of m keys (dense remap or hash probe), inserting
+  // misses in position order; row_at(i) is key i's row.
+  template <class RowAt>
+  void LookupKeys(const uint64_t* keys, size_t m, RowAt row_at,
+                  uint32_t* out);
   uint32_t RouteWide(uint32_t row);
 
   std::vector<ColPlan> plans_;
@@ -277,6 +331,9 @@ class StreamGroupRouter {
   bool wide_ = false;
   std::vector<Slot> slots_;  // power-of-two size
   size_t mask_ = 0;
+  // Packed key -> id while the packed layout is small; empty otherwise.
+  // Kept alongside slots_, which stay complete on every tier.
+  std::vector<uint32_t> direct_;
   std::vector<int64_t> codes_;  // group g's raw codes at [g*arity, (g+1)*arity)
   size_t groups_ = 0;
 };

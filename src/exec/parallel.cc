@@ -26,6 +26,9 @@ ExecOptions g_options;
 // instead of deadlocking on (or re-entering) the pool.
 thread_local bool tls_in_pool_worker = false;
 
+// Early-exit flag of the batch this thread is draining (MorselBatchFailed).
+thread_local const std::atomic<bool>* tls_batch_failed = nullptr;
+
 size_t EnvOrHardwareThreads() {
   static const size_t resolved = [] {
     if (const auto v = ParseEnvInt("CVOPT_THREADS"); v && *v > 0) {
@@ -129,6 +132,8 @@ class ThreadPool {
     // have none of their own; the draining caller already carries it, and
     // re-installing the same pointer is harmless).
     ScopedQueryContext scope(batch.ctx);
+    const std::atomic<bool>* outer_failed = tls_batch_failed;
+    tls_batch_failed = &batch.failed;
     size_t finished = 0;
     while (true) {
       const size_t t = batch.next.fetch_add(1, std::memory_order_relaxed);
@@ -149,6 +154,7 @@ class ThreadPool {
       }
       ++finished;
     }
+    tls_batch_failed = outer_failed;
     if (finished > 0 &&
         batch.done.fetch_add(finished) + finished == batch.total) {
       // Completion is observed under the mutex so the waiter cannot miss it.
@@ -200,6 +206,10 @@ size_t ResolveThreads(int num_threads) {
   size_t resolved = configured > 0 ? static_cast<size_t>(configured)
                                    : EnvOrHardwareThreads();
   return std::min(std::max<size_t>(1, resolved), kMaxThreads);
+}
+
+bool MorselBatchFailed() {
+  return tls_batch_failed != nullptr && tls_batch_failed->load();
 }
 
 size_t ParallelChunkCount(size_t n, size_t threads, size_t min_chunk) {

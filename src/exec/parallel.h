@@ -100,6 +100,13 @@ void ParallelForChunks(size_t n, size_t chunks,
                        const std::function<void(size_t chunk, size_t lo, size_t hi)>& fn,
                        int num_threads = 0);
 
+/// True when called from a morsel body whose batch has been poisoned: a
+/// sibling morsel failed (or governance aborted the query) and the pool has
+/// published its early-exit flag. No morsel of the batch starts after that
+/// point; a long-running body may poll this to stop early. False outside a
+/// pooled batch (inline runs stop at the first failure by themselves).
+bool MorselBatchFailed();
+
 /// Partition-then-merge accumulation into per-group slabs, the shared
 /// shape of the executors' SUM/AVG/VAR passes: runs acc(s1, s2, lo, hi)
 /// over chunk-order ranges of [0, m), where s1/s2 are zeroed slabs of

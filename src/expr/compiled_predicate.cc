@@ -1032,6 +1032,7 @@ uint32_t CompiledPredicate::AddNotNode(uint32_t child) {
 Result<uint32_t> CompiledPredicate::CompileCompare(const Table& table,
                                                    const Predicate& pred) {
   CVOPT_ASSIGN_OR_RETURN(size_t cidx, table.ColumnIndex(pred.column_));
+  cols_.push_back(static_cast<uint32_t>(cidx));
   const Column* col = &table.column(cidx);
   if (col->type() == DataType::kString) {
     if (!pred.literal_.is_string()) {
@@ -1098,6 +1099,7 @@ Result<uint32_t> CompiledPredicate::CompileCompare(const Table& table,
 Result<uint32_t> CompiledPredicate::CompileBetween(const Table& table,
                                                    const Predicate& pred) {
   CVOPT_ASSIGN_OR_RETURN(size_t cidx, table.ColumnIndex(pred.column_));
+  cols_.push_back(static_cast<uint32_t>(cidx));
   const Column* col = &table.column(cidx);
   if (col->type() == DataType::kString) {
     return Status::InvalidArgument("BETWEEN is not supported on strings");
@@ -1130,6 +1132,7 @@ Result<uint32_t> CompiledPredicate::CompileBetween(const Table& table,
 Result<uint32_t> CompiledPredicate::CompileIn(const Table& table,
                                               const Predicate& pred) {
   CVOPT_ASSIGN_OR_RETURN(size_t cidx, table.ColumnIndex(pred.column_));
+  cols_.push_back(static_cast<uint32_t>(cidx));
   const Column* col = &table.column(cidx);
   if (col->type() == DataType::kString) {
     Leaf L;
@@ -1245,6 +1248,9 @@ Result<CompiledPredicate> CompiledPredicate::Compile(const Table& table,
   cp.n_ = table.num_rows();
   cp.zones_ = table.zone_index();
   CVOPT_ASSIGN_OR_RETURN(cp.root_, cp.CompileNode(table, pred));
+  std::sort(cp.cols_.begin(), cp.cols_.end());
+  cp.cols_.erase(std::unique(cp.cols_.begin(), cp.cols_.end()),
+                 cp.cols_.end());
   return cp;
 }
 

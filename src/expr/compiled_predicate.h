@@ -83,6 +83,12 @@ class CompiledPredicate {
   /// Number of table rows the plan was compiled for.
   size_t table_rows() const { return n_; }
 
+  /// Indexes of the table columns the predicate names, ascending and
+  /// distinct — including columns whose leaves folded to constants, so a
+  /// Table carrying just these columns (under the same names) recompiles
+  /// the same predicate. The out-of-core scan's column projection.
+  const std::vector<uint32_t>& referenced_columns() const { return cols_; }
+
   /// Selection vector of all matching table rows, ascending.
   std::vector<uint32_t> Select() const;
 
@@ -217,6 +223,7 @@ class CompiledPredicate {
   std::vector<uint32_t> child_ids_;
   uint32_t root_ = 0;
   size_t n_ = 0;
+  std::vector<uint32_t> cols_;  // referenced_columns()
   // Borrowed zone index of the compiled-against table (same lifetime as the
   // raw column spans above; survives Table moves because the index is
   // heap-owned by the table). Null only for the default-constructed plan.

@@ -1,7 +1,7 @@
 // End-to-end governance coverage: within-budget governed queries are
 // bit-identical to ungoverned runs at every thread count; deadline /
 // cancellation / budget violations come back as typed Status without
-// crashing or deadlocking; a poisoned morsel halts the pool promptly; the
+// crashing or deadlocking; a poisoned morsel halts the pool at once; the
 // in-memory -> out-of-core group-by degradation preserves results exactly;
 // partial (deadline-degraded) draws flag their shortfall; and an injected
 // mid-query fault leaves the plan cache and decoded-chunk LRU intact.
@@ -10,6 +10,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -17,6 +19,7 @@
 #include "src/estimate/approx_executor.h"
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/sample/sampler.h"
 #include "src/stats/stats_collector.h"
@@ -165,26 +168,56 @@ TEST(GovernanceAbortTest, AbortPropagatesFromParallelWorkers) {
 }
 
 TEST(GovernanceAbortTest, PoisonedMorselHaltsPoolPromptly) {
-  // A morsel body that fails must poison its batch: siblings check out
-  // without running, the exception resurfaces on the submitting thread,
-  // and nothing deadlocks. With 1000 tiny chunks and a failure planted in
-  // chunk 3, the executed count must stay far below the total.
+  // A morsel body that fails must poison its batch: once the pool has
+  // published its failure flag no morsel starts, the exception resurfaces
+  // on the submitting thread, and nothing deadlocks. Stated without
+  // timing: every morsel after the poisoned chunk 3 waits on a latch until
+  // the flag is published, so a thread can only have started the one
+  // morsel it already held — on a loaded host as on an idle one.
   ScopedExecThreads scope(4, 1);
   constexpr size_t kChunks = 1000;
   std::atomic<size_t> executed{0};
+  std::atomic<bool> latch_timed_out{false};
+  std::mutex mu;
+  std::map<std::thread::id, size_t> after_poison;  // bodies past chunk 3
   bool threw = false;
   try {
     ParallelForChunks(kChunks, kChunks, [&](size_t c, size_t, size_t) {
       executed.fetch_add(1, std::memory_order_relaxed);
       if (c == 3) throw std::runtime_error("poisoned morsel");
+      if (c < 3) return;
+      {
+        std::lock_guard<std::mutex> l(mu);
+        after_poison[std::this_thread::get_id()]++;
+      }
+      // Chunk 3 was claimed before this one, so its thread is running it.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!MorselBatchFailed()) {
+        if (std::chrono::steady_clock::now() > give_up) {
+          latch_timed_out = true;
+          break;
+        }
+        std::this_thread::yield();
+      }
     });
   } catch (const std::runtime_error& e) {
     threw = true;
     EXPECT_STREQ(e.what(), "poisoned morsel");
   }
   EXPECT_TRUE(threw);
-  EXPECT_LT(executed.load(), kChunks / 2)
-      << "early-exit flag did not stop sibling morsels";
+  EXPECT_FALSE(latch_timed_out) << "failure flag never published";
+  size_t late = 0;
+  for (const auto& [thread, bodies] : after_poison) {
+    EXPECT_LE(bodies, 1u) << "a thread started a morsel after the failure "
+                             "flag was published";
+    late += bodies;
+  }
+  // Chunks 0-2 run unless chunk 3's failure is published before their
+  // threads get to them.
+  EXPECT_GE(executed.load(), 1 + late);
+  EXPECT_LE(executed.load(), 4 + late);
+  EXPECT_FALSE(MorselBatchFailed()) << "flag leaked outside the batch";
   // The pool survives for the next caller.
   std::atomic<size_t> after{0};
   ParallelForChunks(64, 64, [&](size_t, size_t, size_t) { after++; });

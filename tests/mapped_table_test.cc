@@ -1,6 +1,6 @@
 // MappedTable (mmap-backed v2 reader), the decoded-chunk LRU cache, the
-// out-of-core group-by scan, v1 compatibility, and the plan-cache reload
-// guard.
+// out-of-core group-by scan (its column projection and its wide-key
+// differentials), v1 compatibility, and the plan-cache reload guard.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,11 +10,13 @@
 
 #include "src/exec/chunked_scan.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/query_context.h"
 #include "src/expr/compiled_predicate.h"
 #include "src/expr/plan_cache.h"
 #include "src/table/mapped_table.h"
 #include "src/table/table_builder.h"
 #include "src/table/table_io.h"
+#include "src/util/string_util.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -85,6 +87,34 @@ std::vector<QuerySpec> MakeQueries() {
     q.group_by = {"city", "n"};
     q.aggregates = {AggSpec::Avg("v"), AggSpec::Count()};
     q.where = Predicate::Compare("n", CompareOp::kLt, Value(int64_t{5}));
+    qs.push_back(q);
+  }
+  {
+    // The `t` leaf folds to constant-true at compile time; the column must
+    // still reach the per-chunk predicate tables, which compile by name.
+    QuerySpec q;
+    q.name = "folded-leaf";
+    q.group_by = {"city"};
+    q.aggregates = {AggSpec::Sum("v"), AggSpec::Count()};
+    q.where = Predicate::And(
+        Predicate::Compare("t", CompareOp::kLt, Value(1e300)),
+        Predicate::Compare("n", CompareOp::kGe, Value(int64_t{7})));
+    qs.push_back(q);
+  }
+  {
+    // Predicates that name no column still evaluate over every chunk row.
+    QuerySpec q;
+    q.name = "countif-true";
+    q.group_by = {"city"};
+    q.aggregates = {AggSpec::CountIf(Predicate::True()), AggSpec::Count()};
+    qs.push_back(q);
+  }
+  {
+    QuerySpec q;
+    q.name = "where-not-true";
+    q.group_by = {"city"};
+    q.aggregates = {AggSpec::Count(), AggSpec::Sum("v")};
+    q.where = Predicate::Not(Predicate::True());
     qs.push_back(q);
   }
   {
@@ -392,6 +422,137 @@ TEST(MappedTableTest, OutOfCoreGroupByRejectsBadQueries) {
   EXPECT_FALSE(ExecuteGroupByMapped(mt, q).ok());
   q.group_by = {"nope"};  // unknown column
   EXPECT_FALSE(ExecuteGroupByMapped(mt, q).ok());
+  std::remove(path.c_str());
+}
+
+// Column projection: the scan decodes only the columns the query reads.
+// Under a cold cache too large to evict, every referenced column chunk
+// misses exactly once — group-by, aggregate input, WHERE, and COUNT_IF
+// columns alike — and the unreferenced column never enters the cache.
+TEST(MappedTableTest, OutOfCoreGroupByDecodesOnlyReferencedColumns) {
+  ScopedChunkRows cs(512);
+  Table t = MakeDataset(10'000);  // columns t, city, v, n
+  const std::string path = TempPath("proj.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ScopedCacheBudget budget(size_t{1} << 30);
+  QuerySpec q;
+  q.group_by = {"city"};
+  q.aggregates = {AggSpec::Sum("v"), AggSpec::Count(),
+                  AggSpec::CountIf(Predicate::Compare(
+                      "n", CompareOp::kLt, Value(int64_t{10})))};
+  // Every chunk holds v on both sides of 10, so no zone map decides it.
+  q.where = Predicate::Compare("v", CompareOp::kGt, Value(10.0));
+  const size_t kReferenced = 3;  // city, v, n
+  for (bool serial : {false, true}) {
+    // A fresh mapping is a fresh cache identity: the scan starts cold.
+    ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+    ResetChunkCacheStats();
+    QueryContext tiny;
+    tiny.set_memory_limit(64);  // refuses the row->gid map: serial scan
+    {
+      ScopedQueryContext install(serial ? &tiny : nullptr);
+      ASSERT_OK(ExecuteGroupByMapped(mt, q).status());
+    }
+    EXPECT_EQ(GetChunkCacheStats().misses, mt.num_chunks() * kReferenced)
+        << (serial ? "serial" : "parallel");
+    EXPECT_EQ(GetChunkCacheStats().evictions, 0u);
+    // Column t was never decoded: each of its chunks is still a miss.
+    ResetChunkCacheStats();
+    for (size_t k = 0; k < mt.num_chunks(); ++k) {
+      ASSERT_OK(mt.GetChunk(0, k).status());
+    }
+    EXPECT_EQ(GetChunkCacheStats().hits, 0u);
+    EXPECT_EQ(GetChunkCacheStats().misses, mt.num_chunks());
+  }
+  std::remove(path.c_str());
+}
+
+// Keys that outgrow one packed word: two or three full-range int64
+// columns, negative values included, whose first rows are small so the
+// router starts packed and falls back to its wide tier mid-stream.
+Table MakeWideKeyDataset(size_t rows) {
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kInt64},
+                 {"c", DataType::kInt64},
+                 {"city", DataType::kString},
+                 {"v", DataType::kDouble},
+                 {"n", DataType::kInt64}});
+  TableBuilder b(schema);
+  Rng rng(4321);
+  struct Key {
+    int64_t a, b, c;
+  };
+  std::vector<Key> small, wide;
+  for (int i = 0; i < 40; ++i) {
+    small.push_back({static_cast<int64_t>(rng.Uniform(9)) - 4,
+                     -static_cast<int64_t>(rng.Uniform(3)),
+                     static_cast<int64_t>(rng.Uniform(5))});
+  }
+  for (int i = 0; i < 300; ++i) {
+    wide.push_back({static_cast<int64_t>(rng.Next64()),
+                    -static_cast<int64_t>(rng.Next64() >> 1),
+                    static_cast<int64_t>(rng.Next64())});
+  }
+  const char* cities[] = {"lisbon", "oslo", "quito"};
+  for (size_t i = 0; i < rows; ++i) {
+    const bool early = i < rows / 4;
+    const Key& k = early || rng.Uniform(4) == 0
+                       ? small[rng.Uniform(small.size())]
+                       : wide[rng.Uniform(wide.size())];
+    double v = rng.NextGaussian() * 1e3;
+    if (i % 173 == 0) v = std::numeric_limits<double>::quiet_NaN();
+    Status st = b.AppendRow(
+        {Value(k.a), Value(k.b), Value(k.c), Value(cities[i % 3]), Value(v),
+         Value(static_cast<int64_t>(rng.Uniform(100)) - 50)});
+    CVOPT_CHECK(st.ok(), "append failed");
+  }
+  return std::move(b).Finish();
+}
+
+TEST(MappedTableTest, WideAndNegativeKeysSerialParallelAndExactAgree) {
+  ScopedChunkRows cs(500);
+  Table t = MakeWideKeyDataset(12'000);
+  const std::string path = TempPath("wide.cvtb");
+  ASSERT_OK(WriteTableFile(t, path));
+  ScopedCacheBudget budget(1);
+  ASSERT_OK_AND_ASSIGN(MappedTable mt, MappedTable::Open(path));
+  std::vector<QuerySpec> qs;
+  for (std::vector<std::string> keys :
+       {std::vector<std::string>{"a", "b"},
+        std::vector<std::string>{"a", "b", "c"},
+        std::vector<std::string>{"c", "city", "a"}}) {
+    QuerySpec q;
+    q.name = Join(keys, ",");
+    q.group_by = keys;
+    q.aggregates = {AggSpec::Avg("v"),      AggSpec::Sum("n"),
+                    AggSpec::Count(),       AggSpec::Variance("v"),
+                    AggSpec::Median("v"),
+                    AggSpec::CountIf(Predicate::Compare(
+                        "n", CompareOp::kLt, Value(int64_t{0})))};
+    qs.push_back(q);
+    q.name += " where";
+    q.where = Predicate::Compare("n", CompareOp::kGe, Value(int64_t{-20}));
+    qs.push_back(q);
+  }
+  for (const QuerySpec& q : qs) {
+    ScopedExecThreads one(1);
+    ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+    ASSERT_OK_AND_ASSIGN(QueryResult reference, ExecuteGroupByMapped(mt, q));
+    ExpectResultsIdentical(exact, reference, q.name + " mapped vs exact");
+    for (int threads : {1, 2, 3, 8}) {
+      ScopedExecThreads scope(threads);
+      ASSERT_OK_AND_ASSIGN(QueryResult parallel, ExecuteGroupByMapped(mt, q));
+      ExpectResultsIdentical(reference, parallel,
+                             q.name + " threads=" + std::to_string(threads));
+      QueryContext tiny;
+      tiny.set_memory_limit(64);  // refuses the row->gid map
+      ScopedQueryContext install(&tiny);
+      ASSERT_OK_AND_ASSIGN(QueryResult serial, ExecuteGroupByMapped(mt, q));
+      ExpectResultsIdentical(
+          reference, serial,
+          q.name + " serial-degraded threads=" + std::to_string(threads));
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -13,6 +13,7 @@
 #include "src/exec/group_index.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/streaming_cvopt_sampler.h"
+#include "src/util/string_util.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -236,6 +237,67 @@ TEST(StreamGroupRouterTest, MoreColumnsThanPackableBitsStartsWide) {
     EXPECT_EQ(router.Route(r), gi.group_of(r));
   }
   EXPECT_EQ(router.num_groups(), 3u);
+}
+
+// Span-bound routing (the out-of-core scan's entry point): replaying a
+// table's rows as caller-held column chunks must assign the same ids and
+// keys as the offline build, for every chunk size — through dictionary
+// growth, negative ints, and the mid-stream fall back to the wide tier.
+TEST(StreamGroupRouterTest, RouteSpansMatchesGroupIndexInAnyChunking) {
+  OpenAqOptions opts;
+  opts.num_rows = 6000;
+  Table openaq = GenerateOpenAq(opts);
+  Schema schema({{"a", DataType::kInt64},
+                 {"b", DataType::kInt64},
+                 {"s", DataType::kString}});
+  TableBuilder b(schema);
+  Rng gen(11);
+  for (int i = 0; i < 6000; ++i) {
+    // Small negative keys first, full-range ones after row 2000.
+    const uint64_t big = (gen.Next64() % 64) << 57;
+    const int64_t x = i < 2000 ? -static_cast<int64_t>(gen.Uniform(5))
+                               : static_cast<int64_t>(big);
+    ASSERT_OK(b.AppendRow({Value(x), Value(-x / 3),
+                           Value("s" + std::to_string(i % 9))}));
+  }
+  Table wide = std::move(b).Finish();
+  const std::vector<std::pair<const Table*, std::vector<std::string>>> cases =
+      {{&openaq, {"country", "parameter", "unit"}},
+       {&openaq, {"country", "year", "month", "hour"}},
+       {&wide, {"a", "b"}},
+       {&wide, {"s", "a", "b"}}};
+  for (const auto& [t, attrs] : cases) {
+    ASSERT_OK_AND_ASSIGN(GroupIndex gi, GroupIndex::Build(*t, attrs));
+    ASSERT_OK_AND_ASSIGN(std::vector<size_t> cols,
+                         GroupIndex::Resolve(*t, attrs));
+    std::vector<DataType> types;
+    for (size_t c : cols) types.push_back(t->column(c).type());
+    for (size_t chunk : {size_t{1}, size_t{7}, size_t{512}, size_t{4096}}) {
+      StreamGroupRouter router(types);
+      std::vector<uint32_t> ids(t->num_rows());
+      for (size_t lo = 0; lo < t->num_rows(); lo += chunk) {
+        std::vector<GroupCodeSpan> spans;
+        for (size_t c : cols) {
+          const Column& col = t->column(c);
+          spans.push_back(col.type() == DataType::kString
+                              ? GroupCodeSpan{nullptr, col.codes().data() + lo}
+                              : GroupCodeSpan{col.ints().data() + lo, nullptr});
+        }
+        router.RouteSpans(spans.data(), std::min(chunk, t->num_rows() - lo),
+                          ids.data() + lo);
+      }
+      const std::string what = Join(attrs, ",") + " chunk " +
+                               std::to_string(chunk);
+      ASSERT_EQ(ids, gi.row_groups()) << what;
+      ASSERT_EQ(router.num_groups(), gi.num_groups()) << what;
+      for (size_t g = 0; g < gi.num_groups(); ++g) {
+        ASSERT_EQ(router.KeyOf(g).codes, gi.KeyOf(g).codes) << what;
+      }
+      if (t == &wide) {
+        EXPECT_FALSE(router.packed()) << what;
+      }
+    }
+  }
 }
 
 TEST(StreamGroupRouterTest, EmptyColumnListRoutesEverythingToGroupZero) {

@@ -1,8 +1,9 @@
-// Fuzz-style robustness tests for the v2 chunked table file reader: any
-// truncation or byte corruption must yield a clean Status (or a successful
-// parse of still-consistent data) — never a crash, hang, or out-of-bounds
-// read. The loops are deliberately exhaustive over a small file so the
-// ASan/UBSan jobs in tools/run_sanitizers.sh sweep every parser branch.
+// Fuzz-style robustness tests for the v2 chunked table file reader and the
+// out-of-core scan over it: any truncation or byte corruption must yield a
+// clean Status (or a successful parse of still-consistent data) — never a
+// crash, hang, or out-of-bounds read. The loops are deliberately
+// exhaustive over a small file so the ASan/UBSan jobs in
+// tools/run_sanitizers.sh sweep every parser branch.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/exec/chunked_scan.h"
 #include "src/table/mapped_table.h"
 #include "src/table/table_builder.h"
 #include "src/table/table_io.h"
@@ -119,6 +121,21 @@ TEST_F(TableIoFuzzTest, EverySingleByteFlipIsHandled) {
   }
 }
 
+// Runs the out-of-core group-by over a file that still opens, with every
+// column in play (group-by, aggregate input, WHERE, COUNT_IF): the scan
+// must return an answer or a clean Status, whatever the bytes say.
+void ExerciseScan(const std::string& path) {
+  auto mapped = MappedTable::Open(path);
+  if (!mapped.ok()) return;
+  QuerySpec q;
+  q.group_by = {"s", "k"};
+  q.aggregates = {AggSpec::Sum("v"), AggSpec::Count(), AggSpec::Median("v"),
+                  AggSpec::CountIf(Predicate::Compare("k", CompareOp::kLt,
+                                                      Value(int64_t{0})))};
+  q.where = Predicate::Compare("v", CompareOp::kGt, Value(-1.0));
+  (void)ExecuteGroupByMapped(*mapped, q);
+}
+
 TEST_F(TableIoFuzzTest, RandomMultiByteCorruptions) {
   Rng rng(99);
   for (int trial = 0; trial < 500; ++trial) {
@@ -130,6 +147,7 @@ TEST_F(TableIoFuzzTest, RandomMultiByteCorruptions) {
     }
     WriteAll(mutated_, mut);
     ExerciseReader(mutated_);
+    ExerciseScan(mutated_);
   }
 }
 
