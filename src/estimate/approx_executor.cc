@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/exec/agg_planner.h"
 #include "src/exec/group_index.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
@@ -53,14 +52,11 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
   const std::vector<double>& weights = sample.weights();
 
   // Dense group ids over the sampled rows; position i maps to the group of
-  // base row rows[i]. The sampler's observed stratum count (a streaming
-  // router's final occupancy, or the stratification's group count) rides
-  // along as the aggregation planner's cardinality prior — queries grouping
-  // coarser than the stratification overestimate, which only ever steers
-  // the hash-vs-sort choice, never the answer.
-  ScopedAggOccupancyHint occupancy(sample.observed_strata());
-  CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
-                         GroupIndex::BuildForRows(table, query.group_by, rows));
+  // base row rows[i]. The sample builds the index on the first query with
+  // this GROUP BY list and hands the same one to every later query.
+  CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> shared_gidx,
+                         sample.GroupIndexFor(query.group_by));
+  const GroupIndex& gidx = *shared_gidx;
 
   const size_t m = rows.size();
   const size_t G = gidx.num_groups();

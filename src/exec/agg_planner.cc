@@ -64,9 +64,7 @@ AggPlanDecision PlanAggPath(const AggPlanInputs& in) {
   AggPlanDecision out;
   out.estimated_groups = EstimateGroups(in);
   g_last_estimated.store(out.estimated_groups, std::memory_order_relaxed);
-  int mode = g_path_override.load(std::memory_order_relaxed);
-  if (mode == 2) mode = -1;  // pinned auto: skip the env knob entirely
-  else if (mode == -1) mode = EnvPathMode();
+  const int mode = ForcedAggPath();
   if (mode == -1) {
     out.path = out.estimated_groups >= kSortMinEstimatedGroups
                    ? AggPath::kSort
@@ -78,6 +76,12 @@ AggPlanDecision PlanAggPath(const AggPlanInputs& in) {
   (out.path == AggPath::kSort ? g_sort_decisions : g_hash_decisions)
       .fetch_add(1, std::memory_order_relaxed);
   return out;
+}
+
+int ForcedAggPath() {
+  const int mode = g_path_override.load(std::memory_order_relaxed);
+  if (mode == 2) return -1;  // pinned auto: skip the env knob entirely
+  return mode == -1 ? EnvPathMode() : mode;
 }
 
 void SetAggPathOverrideForTesting(int mode) {

@@ -42,6 +42,10 @@ uint64_t EstimateGroups(const AggPlanInputs& in);
 /// Plans the aggregation path and bumps the process-wide decision counters.
 AggPlanDecision PlanAggPath(const AggPlanInputs& in);
 
+/// The path the test override or CVOPT_AGG_PATH currently forces: 0 hash,
+/// 1 sort, -1 none (the automatic estimate decides).
+int ForcedAggPath();
+
 /// Forces the path decision: -1 restores the default resolution, 0 forces
 /// hash, 1 forces sort, and 2 pins the AUTO threshold (ignoring
 /// CVOPT_AGG_PATH — for tests that assert the automatic decision under an

@@ -947,6 +947,17 @@ void GroupIndex::SetRadixOverrideForTesting(int mode, size_t partitions) {
   g_radix_partitions.store(partitions, std::memory_order_relaxed);
 }
 
+GroupIndexBuildSettings GroupIndex::CurrentBuildSettings(size_t n) {
+  GroupIndexBuildSettings s;
+  s.threads = ResolveThreads();
+  s.chunks = ParallelChunkCount(n, s.threads);
+  s.radix_mode = g_radix_mode.load(std::memory_order_relaxed);
+  s.radix_partitions = g_radix_partitions.load(std::memory_order_relaxed);
+  s.agg_path = ForcedAggPath();
+  s.occupancy_hint = CurrentAggOccupancyHint();
+  return s;
+}
+
 Result<std::vector<size_t>> GroupIndex::Resolve(
     const Table& table, const std::vector<std::string>& attrs) {
   std::vector<size_t> cols;

@@ -90,6 +90,30 @@ void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, double* S1,
       });
 }
 
+/// Everything besides the table data and the mapped rows that a build
+/// reads: the resolved thread count and the chunking it gives, the radix
+/// test override, the forced aggregation path and the occupancy hint in
+/// scope. Together they decide whether the build is partitioned, and so
+/// the summation order of every pass that consumes the index. Two builds
+/// over the same rows under equal settings produce identical indexes, the
+/// partition artifact included — which is what lets a cached index stand
+/// in for a fresh build (StratifiedSample::GroupIndexFor).
+struct GroupIndexBuildSettings {
+  size_t threads = 0;
+  size_t chunks = 0;
+  int radix_mode = -1;
+  size_t radix_partitions = 0;
+  int agg_path = -1;
+  size_t occupancy_hint = 0;
+
+  bool operator==(const GroupIndexBuildSettings& o) const {
+    return threads == o.threads && chunks == o.chunks &&
+           radix_mode == o.radix_mode &&
+           radix_partitions == o.radix_partitions && agg_path == o.agg_path &&
+           occupancy_hint == o.occupancy_hint;
+  }
+};
+
 /// Dense row -> group-id mapping for a set of grouping attributes.
 ///
 /// Build tiers, chosen per key shape:
@@ -131,6 +155,10 @@ class GroupIndex {
   static Result<GroupIndex> BuildForRows(const Table& table,
                                          const std::vector<std::string>& attrs,
                                          const std::vector<uint32_t>& rows);
+
+  /// The settings a build over `n` positions would read on this thread
+  /// right now.
+  static GroupIndexBuildSettings CurrentBuildSettings(size_t n);
 
   size_t num_groups() const { return rep_rows_.size(); }
   /// Number of mapped positions (table rows for Build, sample positions for

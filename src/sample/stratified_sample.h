@@ -7,10 +7,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/core/stratification.h"
+#include "src/exec/group_index.h"
 #include "src/table/table.h"
 
 namespace cvopt {
@@ -98,7 +100,50 @@ class StratifiedSample {
   /// engines that want a physical sample table).
   Table Materialize() const { return base_->TakeRows(rows_); }
 
+  /// The GroupIndex over the sampled rows for `group_by`: position i maps
+  /// to the group of base row rows()[i]. Built on first use (with
+  /// observed_strata() as the planner's cardinality prior) and kept on the
+  /// sample, so every later query grouping the sample the same way skips
+  /// the build — the catalog-hit path of the server.
+  ///
+  /// Contract:
+  ///   - Answers are unchanged. An entry is reused only while
+  ///     GroupIndex::CurrentBuildSettings equals the settings it was built
+  ///     under, so the cached index is the one a fresh build would return.
+  ///     A call under other settings rebuilds and replaces the entry: at
+  ///     most one entry per GROUP BY list.
+  ///   - Thread-safe on a shared const sample. Concurrent first uses may
+  ///     each build (under their own QueryContext, so fail points and
+  ///     memory reservations behave as for an uncached build); the first
+  ///     to finish publishes and the others return its identical index.
+  ///     A failed or aborted build publishes nothing.
+  ///   - Memory: about 4 bytes per sampled row per cached grouping (plus
+  ///     the partition artifact when the build was partitioned), owned by
+  ///     the sample and freed with it. Copies of a sample start empty.
+  Result<std::shared_ptr<const GroupIndex>> GroupIndexFor(
+      const std::vector<std::string>& group_by) const;
+
  private:
+  // The per-grouping index cache behind GroupIndexFor. Copying or assigning
+  // a sample does not carry entries over: the mutex cannot be copied, and
+  // an assigned-to sample's old entries describe other rows.
+  struct IndexCache {
+    struct Entry {
+      std::vector<std::string> group_by;
+      GroupIndexBuildSettings settings;
+      std::shared_ptr<const GroupIndex> index;
+    };
+    IndexCache() = default;
+    IndexCache(const IndexCache&) {}
+    IndexCache& operator=(const IndexCache&) {
+      std::lock_guard<std::mutex> lock(mu);
+      entries.clear();
+      return *this;
+    }
+    std::mutex mu;
+    std::vector<Entry> entries;
+  };
+
   const Table* base_;
   std::vector<uint32_t> rows_;
   std::vector<double> weights_;
@@ -107,6 +152,7 @@ class StratifiedSample {
   std::vector<uint8_t> stratum_exhaustive_;
   std::vector<uint8_t> stratum_degraded_;
   size_t observed_strata_ = 0;
+  mutable IndexCache index_cache_;
 };
 
 }  // namespace cvopt

@@ -36,6 +36,14 @@ void PutDoubleBits(std::string* out, double d) {
   PutInt<uint64_t>(out, bits);
 }
 
+// Smallest wire size of each counted item, the divisors of
+// Cursor::GetCount.
+constexpr size_t kMinStringBytes = sizeof(uint32_t);  // the empty string
+// exact flag, sample rate, SQL text.
+constexpr size_t kMinQueryBytes = 1 + sizeof(uint64_t) + kMinStringBytes;
+// status code, status message, served_from.
+constexpr size_t kMinResultBytes = 1 + kMinStringBytes + 1;
+
 // Bounds-checked reader over a payload.
 class Cursor {
  public:
@@ -68,6 +76,17 @@ class Cursor {
     uint64_t bits = 0;
     CVOPT_RETURN_NOT_OK(GetInt(&bits));
     std::memcpy(d, &bits, sizeof(bits));
+    return Status::OK();
+  }
+
+  // Reads an item count and rejects it unless that many items, each at
+  // least `min_item_bytes` on the wire, fit in the bytes left: a hostile
+  // count fails here instead of sizing a container before the payload runs
+  // out.
+  template <typename T>
+  Status GetCount(T* n, size_t min_item_bytes) {
+    CVOPT_RETURN_NOT_OK(GetInt(n));
+    if (*n > (data_.size() - pos_) / min_item_bytes) return Truncated();
     return Status::OK();
   }
 
@@ -139,22 +158,20 @@ Result<RequestEnvelope> DecodeRequest(const std::string& payload) {
   }
   req.kind = static_cast<MessageKind>(kind);
   CVOPT_RETURN_NOT_OK(c.GetInt(&req.request_id));
-  if (req.kind != MessageKind::kQueryBatch) return req;
-  CVOPT_RETURN_NOT_OK(c.GetString(&req.tenant));
-  CVOPT_RETURN_NOT_OK(c.GetInt(&req.timeout_ms));
-  CVOPT_RETURN_NOT_OK(c.GetInt(&req.memory_limit_bytes));
-  uint32_t count = 0;
-  CVOPT_RETURN_NOT_OK(c.GetInt(&count));
-  if (count > kMaxFrameBytes / 8) {
-    return Status::InvalidArgument("absurd query count");
-  }
-  req.queries.resize(count);
-  for (QueryRequestItem& q : req.queries) {
-    uint8_t exact = 0;
-    CVOPT_RETURN_NOT_OK(c.GetU8(&exact));
-    q.exact = exact != 0;
-    CVOPT_RETURN_NOT_OK(c.GetDoubleBits(&q.sample_rate));
-    CVOPT_RETURN_NOT_OK(c.GetString(&q.sql));
+  if (req.kind == MessageKind::kQueryBatch) {
+    CVOPT_RETURN_NOT_OK(c.GetString(&req.tenant));
+    CVOPT_RETURN_NOT_OK(c.GetInt(&req.timeout_ms));
+    CVOPT_RETURN_NOT_OK(c.GetInt(&req.memory_limit_bytes));
+    uint32_t count = 0;
+    CVOPT_RETURN_NOT_OK(c.GetCount(&count, kMinQueryBytes));
+    req.queries.resize(count);
+    for (QueryRequestItem& q : req.queries) {
+      uint8_t exact = 0;
+      CVOPT_RETURN_NOT_OK(c.GetU8(&exact));
+      q.exact = exact != 0;
+      CVOPT_RETURN_NOT_OK(c.GetDoubleBits(&q.sample_rate));
+      CVOPT_RETURN_NOT_OK(c.GetString(&q.sql));
+    }
   }
   if (!c.AtEnd()) return Status::InvalidArgument("trailing request bytes");
   return req;
@@ -202,42 +219,50 @@ Result<ResponseEnvelope> DecodeResponse(const std::string& payload) {
   CVOPT_RETURN_NOT_OK(c.GetInt(&resp.request_id));
   if (resp.kind == MessageKind::kMetrics) {
     CVOPT_RETURN_NOT_OK(c.GetString(&resp.metrics_text));
+  }
+  if (resp.kind != MessageKind::kQueryBatch) {
+    if (!c.AtEnd()) return Status::InvalidArgument("trailing response bytes");
     return resp;
   }
-  if (resp.kind == MessageKind::kShutdown) return resp;
   uint32_t count = 0;
-  CVOPT_RETURN_NOT_OK(c.GetInt(&count));
-  if (count > kMaxFrameBytes / 4) {
-    return Status::InvalidArgument("absurd result count");
-  }
+  CVOPT_RETURN_NOT_OK(c.GetCount(&count, kMinResultBytes));
   resp.results.resize(count);
   for (QueryResponseItem& item : resp.results) {
     uint8_t code = 0;
     std::string message;
     CVOPT_RETURN_NOT_OK(c.GetU8(&code));
     CVOPT_RETURN_NOT_OK(c.GetString(&message));
+    if (code > static_cast<uint8_t>(StatusCode::kResourceExhausted)) {
+      return Status::InvalidArgument("unknown status code");
+    }
     item.status = code == 0
                       ? Status::OK()
                       : Status(static_cast<StatusCode>(code), std::move(message));
     uint8_t served = 0;
     CVOPT_RETURN_NOT_OK(c.GetU8(&served));
+    if (served > static_cast<uint8_t>(ServedFrom::kCatalogBuild)) {
+      return Status::InvalidArgument("unknown served_from");
+    }
     item.served_from = static_cast<ServedFrom>(served);
     if (!item.status.ok()) continue;
     uint32_t aggs = 0;
-    CVOPT_RETURN_NOT_OK(c.GetInt(&aggs));
+    CVOPT_RETURN_NOT_OK(c.GetCount(&aggs, kMinStringBytes));
     item.result.agg_labels.resize(aggs);
     for (std::string& l : item.result.agg_labels) {
       CVOPT_RETURN_NOT_OK(c.GetString(&l));
     }
+    // A group is its label, its u16 arity and one u64 per aggregate.
     uint32_t groups = 0;
-    CVOPT_RETURN_NOT_OK(c.GetInt(&groups));
+    CVOPT_RETURN_NOT_OK(c.GetCount(
+        &groups,
+        kMinStringBytes + sizeof(uint16_t) + size_t{aggs} * sizeof(uint64_t)));
     item.result.group_labels.resize(groups);
     item.result.key_codes.resize(groups);
     item.result.value_bits.resize(static_cast<size_t>(groups) * aggs);
     for (uint32_t g = 0; g < groups; ++g) {
       CVOPT_RETURN_NOT_OK(c.GetString(&item.result.group_labels[g]));
       uint16_t arity = 0;
-      CVOPT_RETURN_NOT_OK(c.GetInt(&arity));
+      CVOPT_RETURN_NOT_OK(c.GetCount(&arity, sizeof(int64_t)));
       item.result.key_codes[g].resize(arity);
       for (int64_t& code : item.result.key_codes[g]) {
         CVOPT_RETURN_NOT_OK(c.GetInt(&code));

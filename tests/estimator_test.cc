@@ -1,13 +1,17 @@
 // Tests for the approximate executor: exactness at full budget, statistical
-// unbiasedness, predicate handling, and regrouping.
+// unbiasedness, predicate handling, regrouping, and the sample's cached
+// group index.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "src/datagen/openaq_gen.h"
 #include "src/estimate/approx_executor.h"
+#include "src/exec/agg_planner.h"
 #include "src/exec/group_by_executor.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
+#include "src/util/failpoint.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -161,6 +165,132 @@ TEST(ApproxExecutorTest, ErrorsOnBadQueries) {
   QuerySpec bad_agg;
   bad_agg.aggregates = {AggSpec::Avg("major")};
   EXPECT_FALSE(ExecuteApprox(s, bad_agg).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The sample's cached group index (StratifiedSample::GroupIndexFor). A copy
+// of a sample starts with an empty cache, so ExecuteApprox on a fresh copy
+// is the uncached answer.
+
+const Table& OpenAqTable() {
+  static const Table* t = [] {
+    OpenAqOptions opts;
+    opts.num_rows = 40'000;
+    return new Table(GenerateOpenAq(opts));
+  }();
+  return *t;
+}
+
+StratifiedSample OpenAqSample() {
+  Rng rng(131);
+  UniformSampler uniform;
+  return std::move(uniform.Build(OpenAqTable(), {}, 6'000, &rng)).ValueOrDie();
+}
+
+// Every aggregate shape, under a WHERE clause or not, grouped by `by`.
+QuerySpec CacheQuery(std::vector<std::string> by, bool filtered) {
+  QuerySpec q;
+  q.group_by = std::move(by);
+  q.aggregates = {
+      AggSpec::Avg("value"),      AggSpec::Sum("value"), AggSpec::Count(),
+      AggSpec::CountIf(Predicate::Compare("value", CompareOp::kGt, Value(0.04))),
+      AggSpec::Variance("value"), AggSpec::Median("value")};
+  if (filtered) q.where = Predicate::Between("hour", 0, 11);
+  return q;
+}
+
+// Resets the fail-point configuration on scope exit, whatever the test
+// armed.
+struct FailpointReset {
+  ~FailpointReset() { failpoint::ClearForTesting(); }
+};
+
+TEST(ApproxIndexCacheTest, RepeatedGroupingDoesNoGroupIndexBuild) {
+  const StratifiedSample s = OpenAqSample();
+  const QuerySpec q = CacheQuery({"country", "parameter"}, false);
+  ASSERT_OK_AND_ASSIGN(QueryResult first, ExecuteApprox(s, q));
+
+  // Every group-id build now fails. Queries with the cached GROUP BY list
+  // (under any WHERE) still succeed because they build nothing.
+  FailpointReset reset;
+  ASSERT_OK(failpoint::SetForTesting("exec.group_index.alloc:error"));
+  ASSERT_OK_AND_ASSIGN(QueryResult second, ExecuteApprox(s, q));
+  ExpectBitIdentical(first, second);
+  EXPECT_OK(ExecuteApprox(s, CacheQuery({"country", "parameter"}, true))
+                .status());
+
+  // The armed fail point does fire for a grouping the sample has not
+  // cached, and for a copy of the sample, whose cache starts empty.
+  EXPECT_EQ(ExecuteApprox(s, CacheQuery({"unit"}, false)).status().code(),
+            StatusCode::kInternal);
+  const StratifiedSample copy = s;
+  EXPECT_EQ(ExecuteApprox(copy, q).status().code(), StatusCode::kInternal);
+}
+
+TEST(ApproxIndexCacheTest, FailedBuildPublishesNothing) {
+  const StratifiedSample s = OpenAqSample();
+  const QuerySpec q = CacheQuery({"country"}, true);
+  {
+    FailpointReset reset;
+    ASSERT_OK(failpoint::SetForTesting("exec.group_index.alloc:error"));
+    EXPECT_FALSE(ExecuteApprox(s, q).ok());
+  }
+  ASSERT_OK_AND_ASSIGN(QueryResult after, ExecuteApprox(s, q));
+  const StratifiedSample fresh = s;
+  ASSERT_OK_AND_ASSIGN(QueryResult uncached, ExecuteApprox(fresh, q));
+  ExpectBitIdentical(uncached, after);
+}
+
+TEST(ApproxIndexCacheTest, RegroupingGetsItsOwnEntry) {
+  const StratifiedSample s = OpenAqSample();
+  const QuerySpec by_pair = CacheQuery({"country", "parameter"}, true);
+  const QuerySpec by_unit = CacheQuery({"unit", "hour"}, true);
+  ASSERT_OK_AND_ASSIGN(QueryResult pair1, ExecuteApprox(s, by_pair));
+  ASSERT_OK_AND_ASSIGN(QueryResult unit1, ExecuteApprox(s, by_unit));
+
+  const StratifiedSample fresh = s;
+  ASSERT_OK_AND_ASSIGN(QueryResult unit_fresh, ExecuteApprox(fresh, by_unit));
+  ExpectBitIdentical(unit_fresh, unit1);
+
+  // Both entries stay cached side by side: neither grouping rebuilds.
+  FailpointReset reset;
+  ASSERT_OK(failpoint::SetForTesting("exec.group_index.alloc:error"));
+  ASSERT_OK_AND_ASSIGN(QueryResult pair2, ExecuteApprox(s, by_pair));
+  ASSERT_OK_AND_ASSIGN(QueryResult unit2, ExecuteApprox(s, by_unit));
+  ExpectBitIdentical(pair1, pair2);
+  ExpectBitIdentical(unit1, unit2);
+}
+
+// Thread count, the radix override and the forced aggregation path decide
+// whether a build is partitioned, which decides summation order. The cache
+// must follow them: under each setting, a cached answer equals the answer
+// from a fresh copy of the sample, bit for bit — including right after the
+// setting changed under an entry built with the previous one.
+TEST(ApproxIndexCacheTest, CachedMatchesUncachedUnderEveryBuildSetting) {
+  const StratifiedSample s = OpenAqSample();
+  struct AggPathScope {
+    explicit AggPathScope(int mode) { SetAggPathOverrideForTesting(mode); }
+    ~AggPathScope() { SetAggPathOverrideForTesting(-1); }
+  };
+  for (int agg_path : {-1, 1}) {
+    AggPathScope path(agg_path);
+    for (int radix : {-1, 0, 1}) {
+      ScopedRadixOverride force(radix);
+      for (int threads : {1, 2, 3, 8}) {
+        ScopedExecThreads scope(threads);
+        for (bool filtered : {false, true}) {
+          SCOPED_TRACE(testing::Message()
+                       << "agg_path=" << agg_path << " radix=" << radix
+                       << " threads=" << threads << " filtered=" << filtered);
+          const QuerySpec q = CacheQuery({"country", "parameter"}, filtered);
+          ASSERT_OK_AND_ASSIGN(QueryResult cached, ExecuteApprox(s, q));
+          const StratifiedSample fresh = s;
+          ASSERT_OK_AND_ASSIGN(QueryResult uncached, ExecuteApprox(fresh, q));
+          ExpectBitIdentical(uncached, cached);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

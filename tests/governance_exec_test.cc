@@ -46,23 +46,6 @@ QuerySpec FilteredQuery() {
   return q;
 }
 
-// Bitwise equality of two results: same groups in the same order, with
-// value doubles compared by representation, not tolerance.
-void ExpectBitIdentical(const QueryResult& a, const QueryResult& b) {
-  ASSERT_EQ(a.num_groups(), b.num_groups());
-  ASSERT_EQ(a.num_aggregates(), b.num_aggregates());
-  for (size_t i = 0; i < a.num_groups(); ++i) {
-    EXPECT_EQ(a.label(i), b.label(i));
-    for (size_t j = 0; j < a.num_aggregates(); ++j) {
-      const double x = a.value(i, j);
-      const double y = b.value(i, j);
-      EXPECT_EQ(std::memcmp(&x, &y, sizeof(double)), 0)
-          << "group " << a.label(i) << " agg " << j << ": " << x << " vs "
-          << y;
-    }
-  }
-}
-
 // Configures a context that cannot plausibly fire: governance installed,
 // never binding. (QueryContext holds atomics, so it is configured in
 // place rather than returned by value.)

@@ -422,6 +422,59 @@ TEST_F(ServerTest, MetricsScrapeAndShutdownRequest) {
   EXPECT_FALSE(server_->running());
 }
 
+// A catalog sample is shared across pipeline workers, so the first query
+// grouping it can arrive on several threads at once. Each such first touch
+// may build the sample's group index; all of them, and every later hit,
+// must answer exactly as an uncached sample does. The tsan-server job runs
+// this under ThreadSanitizer with the morsel pool fanning out underneath.
+TEST(SampleIndexCacheConcurrencyTest, ConcurrentFirstTouchAgrees) {
+  ScopedExecThreads pool(4);
+  const Table table = MakeSkewedTable(/*groups=*/12, /*base=*/500);
+  CvoptSampler sampler;
+  Rng rng(77);
+  QuerySpec q;
+  q.group_by = {"g"};
+  q.aggregates = {AggSpec::Avg("v"), AggSpec::Sum("v"), AggSpec::Count(),
+                  AggSpec::Median("v")};
+  ASSERT_OK_AND_ASSIGN(StratifiedSample built,
+                       sampler.Build(table, {q}, 12'000, &rng));
+  const auto shared = std::make_shared<const StratifiedSample>(built);
+  std::vector<QuerySpec> queries(2, q);
+  queries[1].where = Predicate::Compare("v", CompareOp::kGt, Value(40.0));
+  std::vector<QueryResult> want;
+  for (const QuerySpec& query : queries) {
+    ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteApprox(built, query));
+    want.push_back(std::move(r));
+  }
+
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;  // round 0 is the concurrent first touch
+  std::vector<std::vector<Result<QueryResult>>> got(kThreads);
+  std::atomic<int> ready{0};
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (int round = 0; round < kRounds; ++round) {
+          got[t].push_back(
+              ExecuteApprox(*shared, queries[(t + round) % queries.size()]));
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << " round " << round);
+      ASSERT_OK(got[t][round].status());
+      ExpectBitIdentical(want[(t + round) % queries.size()],
+                         got[t][round].value());
+    }
+  }
+}
+
 // Catalog LRU eviction. Builds are deterministic in (seed, key), so a
 // throwaway catalog measures each key's sample size first and the scenario
 // catalog then gets budgets placed exactly between the interesting totals.

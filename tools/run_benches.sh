@@ -59,6 +59,17 @@ if ! [[ "$REPEATS" =~ ^[1-9][0-9]*$ ]]; then
   exit 1
 fi
 
+# The measured tree, read before the build compiles it: the full HEAD plus
+# whether tracked files differ from it (the output JSON itself excluded,
+# since every run rewrites it).
+COMMIT=$(git rev-parse HEAD 2>/dev/null || echo unknown)
+if [[ -n "$(git status --porcelain --untracked-files=no -- . ":!$OUT" \
+            2>/dev/null)" ]]; then
+  DIRTY=true
+else
+  DIRTY=false
+fi
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target bench_micro_groupby bench_micro_sampling bench_micro_storage \
@@ -92,14 +103,14 @@ for ((rep = 0; rep < REPEATS; rep++)); do
     --benchmark_format=json >"$TMP_DIR/server_$rep.json"
 done
 
-python3 - "$TMP_DIR" "$REPEATS" "$OUT" <<'PY'
+python3 - "$TMP_DIR" "$REPEATS" "$OUT" "$COMMIT" "$DIRTY" <<'PY'
 import json
 import os
 import statistics
-import subprocess
 import sys
 
 tmp_dir, repeats, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+commit, dirty = sys.argv[4], sys.argv[5] == "true"
 
 def items_per_second(path):
     with open(path) as f:
@@ -168,18 +179,16 @@ doc["description"] = (
     "group-by under a permissive QueryContext (deadline + budget checks at "
     "morsel boundaries) vs no governance; BM_GovernanceCheck and "
     "BM_FailpointInactive bound the per-checkpoint substrate cost. "
-    "BM_Server* are full client round trips (queries/s, not rows/s) through "
-    "a live AqpServer over an AF_UNIX socket: BM_ServerCatalogHit answers "
+    "BM_Server* are full client round trips (queries/s, not rows/s, on the "
+    "wall clock) through a live AqpServer over an AF_UNIX socket: BM_ServerCatalogHit answers "
     "from the warm shared sample, BM_ServerSampleBuild pays the catalog "
     "miss (stratified-sample build) every iteration, BM_ServerExact runs "
     "the exact engine over the 500k-row base table, and "
     "BM_ServerCatalogHitParallel/<threads> is aggregate throughput with "
     "one connection per benchmark thread."
 )
-commit = subprocess.run(
-    ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True
-)
-doc["commit"] = commit.stdout.strip() or "unknown"
+doc["commit"] = commit
+doc["dirty"] = dirty
 doc["repeats"] = repeats
 doc["hardware_concurrency"] = os.cpu_count() or 1
 

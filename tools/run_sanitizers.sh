@@ -8,8 +8,10 @@
 # file reader — tests/table_io_fuzz_test.cc sweeps every truncation and
 # byte-flip of a chunked file through MappedTable::Open / GetChunk /
 # ReadTableFile, and this pass is what turns "clean Status" into "no
-# out-of-bounds read, ever". Run before merging changes to src/expr/ or
-# src/table/.
+# out-of-bounds read, ever". tests/protocol_fuzz_test.cc does the same for
+# the server's wire decoders (truncations, byte flips, hostile counts).
+# Run before merging changes to src/expr/, src/table/ or
+# src/server/protocol.*.
 #
 # Pass 2 — TSan: the guard rail for the parallel execution engine
 # (chunk-disjoint writes in the executors, the GroupIndex build, and the
