@@ -3,7 +3,10 @@
 // group index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
 
 #include "src/datagen/openaq_gen.h"
 #include "src/estimate/approx_executor.h"
@@ -290,6 +293,169 @@ TEST(ApproxIndexCacheTest, CachedMatchesUncachedUnderEveryBuildSetting) {
         }
       }
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// The approximate executor against a plain serial loop: sample positions
+// walked in ascending order, per group the surviving-position count, the
+// Horvitz–Thompson weight sum, s += w*v, s2 += (w*v)*v and the (v, w)
+// MEDIAN pairs. At one thread, and on partitioned builds at any thread
+// count (a group's positions are still visited ascending), the executor's
+// answer equals this loop bit for bit.
+
+// Weighted median with the midpoint convention at an exact half-weight
+// boundary — the estimator's documented rule.
+double RefWeightedMedian(std::vector<std::pair<double, double>> pairs,
+                         double total) {
+  std::sort(pairs.begin(), pairs.end());
+  const double half = total / 2.0;
+  const double eps = 1e-9 * total;
+  double cum = 0.0;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    cum += pairs[p].second;
+    if (cum < half - eps) continue;
+    if (cum <= half + eps && p + 1 < pairs.size()) {
+      return (pairs[p].first + pairs[p + 1].first) / 2.0;
+    }
+    return pairs[p].first;
+  }
+  return pairs.back().first;
+}
+
+// Answers `q` from `s` with one ascending pass over the sample positions.
+// Keyed by group codes; every present group has at least one surviving
+// position.
+std::map<std::vector<int64_t>, std::vector<double>> SerialApproxReference(
+    const StratifiedSample& s, const QuerySpec& q) {
+  struct Acc {
+    uint64_t cnt = 0;
+    double wcnt = 0.0;
+    std::vector<double> s, s2;
+    std::vector<std::vector<std::pair<double, double>>> med;
+  };
+  const Table& table = s.base();
+  const size_t t = q.aggregates.size();
+  std::map<std::vector<int64_t>, Acc> groups;
+  for (size_t i = 0; i < s.rows().size(); ++i) {
+    const size_t row = s.rows()[i];
+    const double w = s.weights()[i];
+    if (q.where != nullptr && !q.where->Matches(table, row).ValueOrDie()) {
+      continue;
+    }
+    std::vector<int64_t> key;
+    for (const auto& name : q.group_by) {
+      key.push_back(table.ColumnByName(name).ValueOrDie()->GroupCode(row));
+    }
+    Acc& a = groups[key];
+    if (a.cnt == 0) {
+      a.s.assign(t, 0.0);
+      a.s2.assign(t, 0.0);
+      a.med.resize(t);
+    }
+    a.cnt++;
+    a.wcnt += w;
+    for (size_t j = 0; j < t; ++j) {
+      const AggSpec& agg = q.aggregates[j];
+      double v = 1.0;
+      if (agg.func == AggFunc::kCountIf) {
+        v = agg.filter->Matches(table, row).ValueOrDie() ? 1.0 : 0.0;
+      } else if (agg.func != AggFunc::kCount) {
+        v = table.ColumnByName(agg.column).ValueOrDie()->GetDouble(row);
+      }
+      a.s[j] += w * v;
+      a.s2[j] += (w * v) * v;
+      a.med[j].emplace_back(v, w);
+    }
+  }
+  std::map<std::vector<int64_t>, std::vector<double>> out;
+  for (auto& [key, a] : groups) {
+    std::vector<double>& f = out[key];
+    for (size_t j = 0; j < t; ++j) {
+      switch (q.aggregates[j].func) {
+        case AggFunc::kAvg:
+          f.push_back(a.s[j] / a.wcnt);
+          break;
+        case AggFunc::kCount:
+          f.push_back(a.wcnt);
+          break;
+        case AggFunc::kSum:
+        case AggFunc::kCountIf:
+          f.push_back(a.s[j]);
+          break;
+        case AggFunc::kVariance: {
+          const double mean = a.s[j] / a.wcnt;
+          f.push_back(std::max(0.0, a.s2[j] / a.wcnt - mean * mean));
+          break;
+        }
+        case AggFunc::kMedian:
+          f.push_back(RefWeightedMedian(a.med[j], a.wcnt));
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+void ExpectMatchesReference(const StratifiedSample& s, const QuerySpec& q) {
+  const auto ref = SerialApproxReference(s, q);
+  ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteApprox(s, q));
+  ASSERT_EQ(got.num_groups(), ref.size());
+  for (const auto& [codes, values] : ref) {
+    const auto i = got.Find(GroupKey{codes});
+    ASSERT_TRUE(i.has_value());
+    for (size_t j = 0; j < values.size(); ++j) {
+      const double x = got.value(*i, j);
+      EXPECT_EQ(std::memcmp(&x, &values[j], sizeof(double)), 0)
+          << got.label(*i) << " " << q.aggregates[j].Label() << ": " << x
+          << " vs " << values[j];
+    }
+  }
+}
+
+TEST(ApproxExecutorTest, MatchesSerialReferenceBitForBit) {
+  // CVOPT strata on (country, parameter) carry different weights, so the
+  // coarser regroupings mix weights within a group.
+  QuerySpec build_q;
+  build_q.group_by = {"country", "parameter"};
+  build_q.aggregates = {AggSpec::Avg("value")};
+  Rng rng(211);
+  CvoptSampler cvopt;
+  ASSERT_OK_AND_ASSIGN(StratifiedSample s,
+                       cvopt.Build(OpenAqTable(), {build_q}, 6'000, &rng));
+  // An empty GROUP BY is one group, never partitioned: it joins the
+  // one-thread lap only.
+  auto check_all = [&](bool partitioned) {
+    std::vector<std::vector<std::string>> groupings = {
+        {"country", "parameter"}, {"country"}, {"unit", "hour"}};
+    if (!partitioned) groupings.push_back({});
+    for (const auto& by : groupings) {
+      if (partitioned) {
+        ASSERT_OK_AND_ASSIGN(std::shared_ptr<const GroupIndex> gidx,
+                             s.GroupIndexFor(by));
+        ASSERT_NE(gidx->partitions(), nullptr);
+      }
+      for (bool filtered : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "by=" << by.size()
+                                        << " filtered=" << filtered);
+        QuerySpec q = CacheQuery(by, filtered);
+        // Integer-typed value streams too.
+        q.aggregates.push_back(AggSpec::Sum("hour"));
+        q.aggregates.push_back(AggSpec::Median("month"));
+        ExpectMatchesReference(s, q);
+      }
+    }
+  };
+  {
+    ScopedExecThreads one(1);
+    check_all(/*partitioned=*/false);
+  }
+  ScopedRadixOverride partitioned(1);
+  for (int threads : {2, 3, 8}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    ScopedExecThreads scope(threads);
+    check_all(/*partitioned=*/true);
   }
 }
 
