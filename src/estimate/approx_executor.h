@@ -22,6 +22,18 @@ namespace cvopt {
 /// exec.group_index.alloc, memory reservation), later ones reuse it and do
 /// no group-id build. The answer is bit-identical either way, and safe to
 /// compute concurrently on one shared sample.
+///
+/// Accumulation is the exact executor's kernel, weighted:
+/// AccumulateGrouped over sample positions with the sample's weights, then
+/// FinalizeGrouped and IngestDense. So it reserves its accumulator slabs
+/// behind the fail point exec.groupby.alloc, like ExecuteExact. Each
+/// surviving position adds w*v to a sum, (w*v)*v to a second moment and w
+/// to its group's weight sum; COUNT is the weight sum, AVG and VARIANCE
+/// divide by it where it is > 0, MEDIAN is the weighted median of groups
+/// with a surviving position. At one thread, and on a partitioned index at
+/// any thread count, positions are added in ascending order, so the answer
+/// equals the serial loop bit for bit; the chunk-merged path adds per-chunk
+/// sums in chunk order.
 Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
                                   const QuerySpec& query);
 

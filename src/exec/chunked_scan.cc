@@ -260,6 +260,19 @@ Status LoadChunkInputs(const MappedTable& mt, const QuerySpec& query,
   return Status::OK();
 }
 
+// Aggregate j's input stream over a loaded chunk.
+ValueStream StreamOf(const MappedAggBinding& b, const ChunkInputs& in,
+                     size_t j) {
+  if (b.filter != nullptr) {
+    return {ValueStream::kIndicator, in.indicators[j].data()};
+  }
+  const DecodedChunk& col = *in.cols[b.col];
+  if (col.type == DataType::kDouble) {
+    return {ValueStream::kDouble, col.doubles.data()};
+  }
+  return {ValueStream::kInt64, col.ints.data()};
+}
+
 // Per-group serial accumulators both scan shapes fill, indexed by the
 // router's dense first-occurrence ids.
 struct MappedAccumulators {
@@ -301,16 +314,7 @@ struct MappedAccumulators {
           if (med != nullptr) med[g].push_back(v);
         }
       };
-      if (b.filter != nullptr) {
-        const uint8_t* ind = in.indicators[j].data();
-        add([ind](uint32_t r) { return ind[r] ? 1.0 : 0.0; });
-      } else if (in.cols[b.col]->type == DataType::kDouble) {
-        const double* d = in.cols[b.col]->doubles.data();
-        add([d](uint32_t r) { return d[r]; });
-      } else {
-        const int64_t* v = in.cols[b.col]->ints.data();
-        add([v](uint32_t r) { return static_cast<double>(v[r]); });
-      }
+      VisitValueStream(StreamOf(b, in, j), [](size_t r) { return r; }, add);
     }
   }
 };

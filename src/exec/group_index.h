@@ -63,25 +63,25 @@ struct GroupPartitions {
 };
 
 /// Partition-owned slab accumulation over a GroupPartitions artifact — the
-/// one shape of every partition-owned SUM/VAR-style pass (exact executor,
-/// approximate executor weight and moment sums). For each partition p
-/// (claimed dynamically through the shared pool), zeroed slabs s1 (and s2
-/// when `use_s2`) of the partition's own group count are handed to
-/// `acc(p, s1, s2)`, which iterates the partition's ascending row list
-/// adding per-LOCAL-group values; the slabs are then written out at the
-/// partition's global ids into S1/S2. Partitions own disjoint global id
+/// one shape of every partition-owned SUM/VAR-style pass and masked count
+/// (group-by executor: sums, moments, weight sums, counts). For each
+/// partition p (claimed dynamically through the shared pool), zeroed slabs
+/// s1 (and s2 when `use_s2`) of T over the partition's own group count are
+/// handed to `acc(p, s1, s2)`, which iterates the partition's ascending row
+/// list adding per-LOCAL-group values; the slabs are then written out at
+/// the partition's global ids into S1/S2. Partitions own disjoint global id
 /// sets, so the scattered writes never contend, and per-group results
 /// equal the serial ascending-row accumulation bit for bit — no chunk
 /// merge, no float reassociation.
-template <class Acc>
-void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, double* S1,
-                           double* S2, Acc&& acc) {
+template <class T, class Acc>
+void AccumulatePartitioned(const GroupPartitions& gp, bool use_s2, T* S1,
+                           T* S2, Acc&& acc) {
   ParallelForChunks(
       gp.num_partitions(), gp.num_partitions(), [&](size_t p, size_t, size_t) {
         const size_t gb = gp.group_base[p];
         const size_t ng = gp.num_groups_in(p);
-        std::vector<double> s1(ng, 0.0);
-        std::vector<double> s2(use_s2 ? ng : 0, 0.0);
+        std::vector<T> s1(ng, T{0});
+        std::vector<T> s2(use_s2 ? ng : 0, T{0});
         acc(p, s1.data(), use_s2 ? s2.data() : nullptr);
         for (size_t l = 0; l < ng; ++l) {
           S1[gp.local_to_global[gb + l]] = s1[l];

@@ -108,21 +108,22 @@ void ParallelForChunks(size_t n, size_t chunks,
 bool MorselBatchFailed();
 
 /// Partition-then-merge accumulation into per-group slabs, the shared
-/// shape of the executors' SUM/AVG/VAR passes: runs acc(s1, s2, lo, hi)
-/// over chunk-order ranges of [0, m), where s1/s2 are zeroed slabs of
-/// `groups` doubles (s2 is null when S2 is null), then adds the per-chunk
-/// slabs into S1/S2 in chunk order — the documented float-summation
-/// reassociation. One chunk invokes acc(S1, S2, 0, m) directly: the exact
-/// serial loop, no partials.
-template <class Acc>
-void AccumulateChunked(size_t m, size_t chunks, size_t groups, double* S1,
-                       double* S2, Acc&& acc) {
+/// shape of the executors' SUM/AVG/VAR and masked-count passes: runs
+/// acc(s1, s2, lo, hi) over chunk-order ranges of [0, m), where s1/s2 are
+/// zeroed slabs of `groups` T (s2 is null when S2 is null), then adds the
+/// per-chunk slabs into S1/S2 in chunk order — the documented
+/// float-summation reassociation for doubles, exact for integer counts.
+/// One chunk invokes acc(S1, S2, 0, m) directly: the exact serial loop, no
+/// partials.
+template <class T, class Acc>
+void AccumulateChunked(size_t m, size_t chunks, size_t groups, T* S1, T* S2,
+                       Acc&& acc) {
   if (chunks <= 1) {
     acc(S1, S2, size_t{0}, m);
     return;
   }
-  std::vector<double> p1(chunks * groups, 0.0);
-  std::vector<double> p2(S2 != nullptr ? chunks * groups : 0, 0.0);
+  std::vector<T> p1(chunks * groups, T{0});
+  std::vector<T> p2(S2 != nullptr ? chunks * groups : 0, T{0});
   ParallelForChunks(m, chunks, [&](size_t c, size_t lo, size_t hi) {
     acc(p1.data() + c * groups,
         S2 != nullptr ? p2.data() + c * groups : nullptr, lo, hi);

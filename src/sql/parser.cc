@@ -252,10 +252,30 @@ class Parser {
     return Status::OK();
   }
 
+  // Predicate depth (kMaxPredicateDepth). open_ counts the NOT and
+  // parenthesis levels enclosing the current token; height_ is the depth of
+  // the subtree a Parse* call just returned. Every finished predicate is at
+  // least open_ + height_ deep, so checking that sum as levels open and
+  // subtrees grow rejects a too-deep predicate before the recursion or the
+  // tree outgrows the limit.
+  Status TooDeep() const {
+    return Status::InvalidArgument(StrFormat(
+        "predicate nested deeper than %d levels", kMaxPredicateDepth));
+  }
+  Status OpenLevel() {
+    return ++open_ >= kMaxPredicateDepth ? TooDeep() : Status::OK();
+  }
+  Status SetHeight(int height) {
+    height_ = height;
+    return open_ + height_ > kMaxPredicateDepth ? TooDeep() : Status::OK();
+  }
+
   Result<PredicatePtr> ParseOr() {
     CVOPT_ASSIGN_OR_RETURN(PredicatePtr lhs, ParseAnd());
     while (ConsumeKeyword("OR")) {
+      const int lhs_height = height_;
       CVOPT_ASSIGN_OR_RETURN(PredicatePtr rhs, ParseAnd());
+      CVOPT_RETURN_NOT_OK(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = Predicate::Or(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -265,7 +285,9 @@ class Parser {
     CVOPT_ASSIGN_OR_RETURN(PredicatePtr lhs, ParseUnary());
     while (Peek().kind == TokKind::kIdent && Peek().text == "AND") {
       ++pos_;
+      const int lhs_height = height_;
       CVOPT_ASSIGN_OR_RETURN(PredicatePtr rhs, ParseUnary());
+      CVOPT_RETURN_NOT_OK(SetHeight(1 + std::max(lhs_height, height_)));
       lhs = Predicate::And(std::move(lhs), std::move(rhs));
     }
     return lhs;
@@ -273,14 +295,21 @@ class Parser {
 
   Result<PredicatePtr> ParseUnary() {
     if (ConsumeKeyword("NOT")) {
+      CVOPT_RETURN_NOT_OK(OpenLevel());
       CVOPT_ASSIGN_OR_RETURN(PredicatePtr inner, ParseUnary());
+      --open_;
+      CVOPT_RETURN_NOT_OK(SetHeight(height_ + 1));
       return Predicate::Not(std::move(inner));
     }
     if (ConsumeSymbol("(")) {
+      CVOPT_RETURN_NOT_OK(OpenLevel());
       CVOPT_ASSIGN_OR_RETURN(PredicatePtr inner, ParseOr());
       CVOPT_RETURN_NOT_OK(ExpectSymbol(")"));
+      --open_;
+      CVOPT_RETURN_NOT_OK(SetHeight(height_ + 1));
       return inner;
     }
+    CVOPT_RETURN_NOT_OK(SetHeight(1));
     return ParseComparison();
   }
 
@@ -288,10 +317,12 @@ class Parser {
     const Token& t = Peek();
     if (t.kind == TokKind::kNumber) {
       Next();
-      // Integral literals stay int64 so they compare against int columns.
+      // Integral literals stay int64 so they compare against int columns;
+      // a literal past the int64 range stays a double (casting it would
+      // be UB).
       if (t.raw.find('.') == std::string::npos &&
           t.raw.find('e') == std::string::npos &&
-          t.raw.find('E') == std::string::npos) {
+          t.raw.find('E') == std::string::npos && t.number < 0x1p63) {
         return Value(static_cast<int64_t>(t.number));
       }
       return Value(t.number);
@@ -355,6 +386,8 @@ class Parser {
 
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  int open_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace

@@ -19,6 +19,15 @@
 
 namespace cvopt {
 
+/// Deepest predicate (WHERE or COUNT_IF) the parser accepts. A comparison
+/// has depth 1, and every NOT, pair of parentheses and AND/OR node adds one
+/// over its deepest operand, so an AND/OR chain of k terms is k deep.
+/// Deeper predicates fail with InvalidArgument before the parser or the
+/// tree's recursive consumers (compilation, rendering, destruction) can
+/// exhaust the stack. A fixed limit, not an option; long disjunctions over
+/// one column fit in IN (...).
+inline constexpr int kMaxPredicateDepth = 256;
+
 /// Result of parsing one SELECT statement.
 struct ParsedQuery {
   QuerySpec query;
@@ -29,7 +38,8 @@ struct ParsedQuery {
 };
 
 /// Parses a single SELECT statement. Plain (non-aggregate) select columns
-/// must appear in the GROUP BY clause, as in SQL.
+/// must appear in the GROUP BY clause, as in SQL. Predicates deeper than
+/// kMaxPredicateDepth are rejected.
 Result<ParsedQuery> ParseSql(const std::string& sql);
 
 }  // namespace cvopt

@@ -366,6 +366,22 @@ TEST_F(ServerTest, FailpointAbortLeavesServerServing) {
   EXPECT_EQ(server_->metrics().queries_failed.value(), 1u);
   ASSERT_OK_AND_ASSIGN(resp, client.Query({item}));
   ASSERT_OK(resp.results[0].status);
+
+  // Approximate answers accumulate through the same kernel and pass the
+  // same site: the served approximate query gets the typed status, and the
+  // next one is served.
+  QueryRequestItem approx;
+  approx.sql = "SELECT g, AVG(v), COUNT(*) FROM skewed GROUP BY g";
+  approx.sample_rate = 0.2;
+  ASSERT_OK(failpoint::SetForTesting("exec.groupby.alloc:deadline"));
+  ASSERT_OK_AND_ASSIGN(resp, client.Query({approx}));
+  failpoint::ClearForTesting();
+  ASSERT_EQ(resp.results.size(), 1u);
+  EXPECT_EQ(resp.results[0].status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(server_->metrics().queries_aborted.value(), 2u);
+  ASSERT_OK_AND_ASSIGN(resp, client.Query({approx}));
+  ASSERT_OK(resp.results[0].status);
+  EXPECT_EQ(resp.results[0].result.num_groups(), 6u);
   server_->Stop();
 }
 
@@ -378,17 +394,36 @@ TEST_F(ServerTest, MalformedQueriesAreContained) {
 
   AqpClient client;
   ASSERT_OK(client.Connect(opts.socket_path));
-  std::vector<QueryRequestItem> batch(3);
+  std::vector<QueryRequestItem> batch(5);
   batch[0].sql = "SELECT FROM nothing";  // parse error
   batch[1].sql = "SELECT g, AVG(v) FROM missing GROUP BY g";  // bad table
   batch[1].exact = true;
   batch[2].sql = "SELECT g, AVG(v) FROM skewed GROUP BY g";  // fine
   batch[2].exact = true;
+  // Predicates far past kMaxPredicateDepth, which used to overflow the
+  // pipeline worker's stack: 10,000 nested parentheses, and a
+  // 100,000-term AND chain (a 1 MB frame) on the approximate path.
+  batch[3].sql = "SELECT g, AVG(v) FROM skewed WHERE " +
+                 std::string(10'000, '(') + "g = 1" + std::string(10'000, ')') +
+                 " GROUP BY g";
+  batch[3].exact = true;
+  std::string chain = "g = 1";
+  for (int i = 1; i < 100'000; ++i) chain += " AND g = 1";
+  batch[4].sql = "SELECT g, AVG(v) FROM skewed WHERE " + chain + " GROUP BY g";
+  batch[4].sample_rate = 0.2;
   ASSERT_OK_AND_ASSIGN(ResponseEnvelope resp, client.Query(batch));
-  ASSERT_EQ(resp.results.size(), 3u);
+  ASSERT_EQ(resp.results.size(), 5u);
   EXPECT_EQ(resp.results[0].status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(resp.results[1].status.code(), StatusCode::kNotFound);
   EXPECT_OK(resp.results[2].status);
+  EXPECT_EQ(resp.results[3].status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.results[4].status.code(), StatusCode::kInvalidArgument);
+
+  // The connection keeps serving.
+  ASSERT_TRUE(server_->running());
+  ASSERT_OK_AND_ASSIGN(resp, client.Query({batch[2]}));
+  ASSERT_EQ(resp.results.size(), 1u);
+  EXPECT_OK(resp.results[0].status);
   server_->Stop();
 }
 

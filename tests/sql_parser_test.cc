@@ -5,6 +5,7 @@
 #include "src/exec/cube.h"
 #include "src/exec/group_by_executor.h"
 #include "src/sql/parser.h"
+#include "tests/sql_corpus.h"
 #include "tests/test_util.h"
 
 namespace cvopt {
@@ -121,6 +122,59 @@ TEST(SqlParserTest, Errors) {
       ParseSql("SELECT major, AVG(gpa) FROM t GROUP BY college").ok());
 }
 
+// Predicate depth is bounded (kMaxPredicateDepth): one past the limit is
+// InvalidArgument, for nesting (parentheses, NOT) and for AND/OR chaining,
+// in WHERE and in COUNT_IF alike — so inputs far past it, which used to
+// overflow the stack while parsing or while freeing the tree, fail cleanly.
+TEST(SqlParserTest, PredicateDepthIsBounded) {
+  const int kMax = kMaxPredicateDepth;
+  auto where = [](const std::string& pred) {
+    return ParseSql("SELECT COUNT(*) FROM t WHERE " + pred).status();
+  };
+  auto countif = [](const std::string& pred) {
+    return ParseSql("SELECT COUNT_IF(" + pred + ") FROM t").status();
+  };
+  auto parens = [](int n) {
+    return std::string(n, '(') + "a = 1" + std::string(n, ')');
+  };
+  auto nots = [](int n) {
+    std::string s;
+    for (int i = 0; i < n; ++i) s += "NOT ";
+    return s + "a = 1";
+  };
+  auto chain = [](int terms, const char* op) {
+    std::string s = "a = 1";
+    for (int i = 1; i < terms; ++i) s += std::string(" ") + op + " a = 1";
+    return s;
+  };
+  const StatusCode kInvalid = StatusCode::kInvalidArgument;
+
+  // Nesting: a comparison is 1 deep, each parenthesis pair or NOT adds 1.
+  EXPECT_OK(where(parens(kMax - 1)));
+  EXPECT_EQ(where(parens(kMax)).code(), kInvalid);
+  EXPECT_EQ(where(parens(10'000)).code(), kInvalid);
+  EXPECT_OK(where(nots(kMax - 1)));
+  EXPECT_EQ(where(nots(kMax)).code(), kInvalid);
+  EXPECT_EQ(where(nots(30'000)).code(), kInvalid);
+  EXPECT_EQ(countif(parens(10'000)).code(), kInvalid);
+
+  // Chaining: k terms build a left-deep tree k deep.
+  EXPECT_OK(where(chain(kMax, "AND")));
+  EXPECT_EQ(where(chain(kMax + 1, "AND")).code(), kInvalid);
+  EXPECT_EQ(where(chain(kMax + 1, "OR")).code(), kInvalid);
+  EXPECT_EQ(where(chain(100'000, "AND")).code(), kInvalid);
+  EXPECT_EQ(countif(chain(100'000, "OR")).code(), kInvalid);
+
+  // Both count together: h levels of nesting around a chain of k terms is
+  // h + k deep.
+  const int h = kMax / 2;
+  const std::string open(h, '('), close(h, ')');
+  EXPECT_OK(where(open + chain(kMax - h, "AND") + close));
+  EXPECT_EQ(where(open + chain(kMax - h + 1, "AND") + close).code(), kInvalid);
+  EXPECT_EQ(where(nots(h) + "(" + chain(kMax - h, "OR") + ")").code(),
+            kInvalid);
+}
+
 TEST(SqlParserTest, ParsedQueryExecutes) {
   // End-to-end: parse the paper's example query and run it exactly.
   Table t = MakeStudentTable();
@@ -137,33 +191,7 @@ TEST(SqlParserTest, ParsedQueryExecutes) {
 
 TEST(SqlParserTest, PaperAppendixQueriesParse) {
   // The paper's appendix queries (adapted to our schema/dialect) all parse.
-  const char* queries[] = {
-      // AQ2
-      "SELECT country, parameter, unit, SUM(value), COUNT(*) FROM OpenAQ "
-      "GROUP BY country, parameter, unit",
-      // AQ3
-      "SELECT country, parameter, unit, AVG(value) FROM OpenAQ "
-      "WHERE hour BETWEEN 0 AND 24 GROUP BY country, parameter, unit",
-      // AQ5
-      "SELECT country, parameter, unit, AVG(value) FROM OpenAQ "
-      "WHERE latitude > 0 GROUP BY country, parameter, unit",
-      // AQ6
-      "SELECT parameter, unit, COUNT_IF(value > 0.5) FROM OpenAQ "
-      "WHERE country = 'VN' GROUP BY parameter, unit",
-      // AQ7
-      "SELECT country, parameter, SUM(value) FROM OpenAQ "
-      "GROUP BY country, parameter WITH CUBE",
-      // B1
-      "SELECT from_station_id, AVG(age), AVG(trip_duration) FROM Bikes "
-      "WHERE age > 0 GROUP BY from_station_id",
-      // B2
-      "SELECT from_station_id, AVG(trip_duration) FROM Bikes "
-      "WHERE trip_duration > 0 GROUP BY from_station_id",
-      // B4
-      "SELECT from_station_id, year, SUM(trip_duration), SUM(age) FROM Bikes "
-      "GROUP BY from_station_id, year WITH CUBE",
-  };
-  for (const char* sql : queries) {
+  for (const auto& sql : PaperAppendixQueries()) {
     EXPECT_TRUE(ParseSql(sql).ok()) << sql;
   }
 }

@@ -9,8 +9,10 @@
 # byte-flip of a chunked file through MappedTable::Open / GetChunk /
 # ReadTableFile, and this pass is what turns "clean Status" into "no
 # out-of-bounds read, ever". tests/protocol_fuzz_test.cc does the same for
-# the server's wire decoders (truncations, byte flips, hostile counts).
-# Run before merging changes to src/expr/, src/table/ or
+# the server's wire decoders (truncations, byte flips, hostile counts), and
+# tests/sql_parser_fuzz_test.cc for the SQL parser (truncations, byte flips
+# and predicates at the nesting-depth limit over the parser corpus).
+# Run before merging changes to src/expr/, src/table/, src/sql/ or
 # src/server/protocol.*.
 #
 # Pass 2 — TSan: the guard rail for the parallel execution engine
