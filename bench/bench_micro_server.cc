@@ -7,11 +7,16 @@
 // BM_ServerExact is the ground-truth path; the threaded variant measures
 // concurrent clients multiplexed onto the pipeline workers. All four are
 // timed on the wall clock (UseRealTime): a round trip's work runs on the
-// server's threads, which the calling thread's CPU clock never sees.
+// server's threads, which the calling thread's CPU clock never sees. The
+// catalog-hit benches also report round-trip latency percentiles
+// (p50_us, p99_us; per client, averaged over clients for the threaded
+// variant) next to throughput.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,6 +59,35 @@ AqpServer& BenchServer() {
   return *server;
 }
 
+// Catalog-hit round trips on a connected client: the loop body shared by
+// the serial and threaded benches, recording each round trip's wall time
+// and reporting its p50 and p99 in microseconds. The threaded variant
+// averages each client's percentiles over the clients.
+void RunCatalogHits(benchmark::State& state, AqpClient* client,
+                    const std::vector<QueryRequestItem>& batch) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> rtt_us;
+  for (auto _ : state) {
+    const Clock::time_point start = Clock::now();
+    auto resp = client->Query(batch);
+    rtt_us.push_back(
+        std::chrono::duration<double, std::micro>(Clock::now() - start)
+            .count());
+    benchmark::DoNotOptimize(resp);
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (rtt_us.empty()) return;
+  auto percentile = [&rtt_us](double p) {
+    const size_t k = static_cast<size_t>(p * (rtt_us.size() - 1));
+    std::nth_element(rtt_us.begin(), rtt_us.begin() + k, rtt_us.end());
+    return rtt_us[k];
+  };
+  state.counters["p50_us"] =
+      benchmark::Counter(percentile(0.50), benchmark::Counter::kAvgThreads);
+  state.counters["p99_us"] =
+      benchmark::Counter(percentile(0.99), benchmark::Counter::kAvgThreads);
+}
+
 QueryRequestItem ApproxItem() {
   QueryRequestItem item;
   item.sql = kApproxSql;
@@ -71,11 +105,7 @@ void BM_ServerCatalogHit(benchmark::State& state) {
     auto warm = client.Query(batch);
     CVOPT_CHECK(warm.ok() && warm->results[0].status.ok(), "warm-up");
   }
-  for (auto _ : state) {
-    auto resp = client.Query(batch);
-    benchmark::DoNotOptimize(resp);
-  }
-  state.SetItemsProcessed(state.iterations());
+  RunCatalogHits(state, &client, batch);
 }
 BENCHMARK(BM_ServerCatalogHit)->UseRealTime();
 
@@ -124,11 +154,7 @@ void BM_ServerCatalogHitParallel(benchmark::State& state) {
     auto warm = client.Query(batch);
     CVOPT_CHECK(warm.ok() && warm->results[0].status.ok(), "warm-up");
   }
-  for (auto _ : state) {
-    auto resp = client.Query(batch);
-    benchmark::DoNotOptimize(resp);
-  }
-  state.SetItemsProcessed(state.iterations());
+  RunCatalogHits(state, &client, batch);
 }
 BENCHMARK(BM_ServerCatalogHitParallel)->Threads(2)->Threads(4)->Threads(8)
     ->UseRealTime();

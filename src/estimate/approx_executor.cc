@@ -15,12 +15,14 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
     return Status::InvalidArgument("query has no aggregates");
   }
   CVOPT_RETURN_NOT_OK(CheckQueryAborted());
-  const Table& table = sample.base();
-  const std::vector<uint32_t>& rows = sample.rows();
+  // The sampled rows, gathered into one contiguous table on the sample's
+  // first query; position i is sample position i, so nothing below reads
+  // the base table.
+  CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const Table> table, sample.Gathered());
 
-  // Dense group ids over the sampled rows; position i maps to the group of
-  // base row rows[i]. The sample builds the index on the first query with
-  // this GROUP BY list and hands the same one to every later query.
+  // Dense group ids over the sample positions. The sample builds the index
+  // on the first query with this GROUP BY list and hands the same one to
+  // every later query.
   CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const GroupIndex> gidx,
                          sample.GroupIndexFor(query.group_by));
 
@@ -31,14 +33,14 @@ Result<QueryResult> ExecuteApprox(const StratifiedSample& sample,
   std::vector<uint32_t> sel;
   if (use_sel) {
     CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> where,
-                           CompilePredicateCached(table, query.where));
-    sel = where->SelectPositions(rows.data(), rows.size());
+                           CompilePredicateCached(*table, query.where));
+    sel = where->SelectPositions(nullptr, table->num_rows());
   }
 
   // The exact executor's kernel with the Horvitz–Thompson weight column.
   CVOPT_ASSIGN_OR_RETURN(
       GroupedAccumulators acc,
-      AccumulateGrouped(table, query, *gidx, use_sel ? &sel : nullptr, rows,
+      AccumulateGrouped(*table, query, *gidx, use_sel ? &sel : nullptr,
                         sample.weights()));
   // Groups emit in first-occurrence-over-sampled-rows order; under a WHERE
   // clause this may differ from the legacy first-surviving-row order.

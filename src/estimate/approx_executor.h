@@ -16,15 +16,20 @@ namespace cvopt {
 /// the predicate are absent from the result (the estimator cannot see them);
 /// error reporting charges such misses as 100% error.
 ///
-/// The sample's group index for query.group_by comes from
-/// StratifiedSample::GroupIndexFor: the first query with a given GROUP BY
-/// list builds it under the caller's QueryContext (fail point
-/// exec.group_index.alloc, memory reservation), later ones reuse it and do
-/// no group-id build. The answer is bit-identical either way, and safe to
-/// compute concurrently on one shared sample.
+/// The query reads only the sample's own state, never the base table after
+/// the sample's first query: StratifiedSample::Gathered, the sampled rows
+/// copied once into a contiguous table (base codes and dictionaries kept),
+/// and StratifiedSample::GroupIndexFor, the group index over it for
+/// query.group_by. WHERE and COUNT_IF predicates compile against the
+/// gathered table and select sample positions directly; values are read at
+/// position i. The first query builds what is missing under the caller's
+/// QueryContext (memory reservations for the gathered rows and the index,
+/// fail point exec.group_index.alloc); later ones reuse both and do no
+/// gather and no group-id build. The answer is bit-identical either way,
+/// and safe to compute concurrently on one shared sample.
 ///
 /// Accumulation is the exact executor's kernel, weighted:
-/// AccumulateGrouped over sample positions with the sample's weights, then
+/// AccumulateGrouped over the gathered table with the sample's weights, then
 /// FinalizeGrouped and IngestDense. So it reserves its accumulator slabs
 /// behind the fail point exec.groupby.alloc, like ExecuteExact. Each
 /// surviving position adds w*v to a sum, (w*v)*v to a second moment and w

@@ -41,18 +41,6 @@ std::string AggSpec::Label() const {
 
 Result<BoundAggregates> BoundAggregates::Bind(const Table& table,
                                               const std::vector<AggSpec>& aggs) {
-  return BindImpl(table, aggs, nullptr, table.num_rows());
-}
-
-Result<BoundAggregates> BoundAggregates::BindAtRows(
-    const Table& table, const std::vector<AggSpec>& aggs,
-    const std::vector<uint32_t>& rows) {
-  return BindImpl(table, aggs, rows.data(), rows.size());
-}
-
-Result<BoundAggregates> BoundAggregates::BindImpl(
-    const Table& table, const std::vector<AggSpec>& aggs,
-    const uint32_t* rows, size_t n) {
   BoundAggregates out;
   out.sources_.reserve(aggs.size());
   for (const auto& agg : aggs) {
@@ -83,8 +71,8 @@ Result<BoundAggregates> BoundAggregates::BindImpl(
         // source.
         CVOPT_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledPredicate> filter,
                                CompilePredicateCached(table, agg.filter));
-        auto mask = std::make_unique<std::vector<uint8_t>>(n);
-        ParallelEvalMask(*filter, rows, n, mask->data());
+        auto mask = std::make_unique<std::vector<uint8_t>>(table.num_rows());
+        ParallelEvalMask(*filter, table.num_rows(), mask->data());
         out.indicators_.push_back(std::move(mask));
         src.indicator = out.indicators_.back().get();
         break;

@@ -65,13 +65,6 @@ class BoundAggregates {
   static Result<BoundAggregates> Bind(const Table& table,
                                       const std::vector<AggSpec>& aggs);
 
-  /// Bind over a subset of base rows (a sample): COUNT_IF indicators are
-  /// evaluated only at rows[i] and indexed by position i, while columns
-  /// stay indexed by base row.
-  static Result<BoundAggregates> BindAtRows(const Table& table,
-                                            const std::vector<AggSpec>& aggs,
-                                            const std::vector<uint32_t>& rows);
-
   const std::vector<StatSource>& sources() const { return sources_; }
   size_t size() const { return sources_.size(); }
 
@@ -79,12 +72,6 @@ class BoundAggregates {
   double ValueAt(size_t j, size_t row) const { return sources_[j].ValueAt(row); }
 
  private:
-  // Indicators cover positions [0, n) of `rows`, or the rows themselves
-  // when `rows` is null.
-  static Result<BoundAggregates> BindImpl(const Table& table,
-                                          const std::vector<AggSpec>& aggs,
-                                          const uint32_t* rows, size_t n);
-
   // Indicator vectors are heap-allocated so StatSource pointers stay stable
   // when the BoundAggregates object moves.
   std::vector<std::unique_ptr<std::vector<uint8_t>>> indicators_;

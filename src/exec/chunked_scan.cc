@@ -314,7 +314,7 @@ struct MappedAccumulators {
           if (med != nullptr) med[g].push_back(v);
         }
       };
-      VisitValueStream(StreamOf(b, in, j), [](size_t r) { return r; }, add);
+      VisitValueStream(StreamOf(b, in, j), add);
     }
   }
 };

@@ -50,25 +50,21 @@ double WeightedMedianOf(std::vector<std::pair<double, double>>* pairs,
   return med;
 }
 
-// Weight policies of the accumulation kernel. An index i is a position of
-// the GroupIndex. Unweighted: i is a table row and a value adds itself, so
-// the kernel compiles to plain exact loops.
+// Weight policies of the accumulation kernel; an index i is a row of the
+// accumulated table. Unweighted: a value adds itself, so the kernel
+// compiles to plain exact loops.
 struct Unweighted {
   static constexpr bool kWeighted = false;
   using MedianEntry = double;
-  size_t RowOf(size_t i) const { return i; }
   double Term(double v, size_t) const { return v; }
   MedianEntry Entry(double v, size_t) const { return v; }
 };
 
-// Horvitz–Thompson weights over a sample: i stands for base row rows[i]
-// and a value adds w[i] * v.
+// Horvitz–Thompson weights over a gathered sample: row i adds w[i] * v.
 struct SampleWeights {
   static constexpr bool kWeighted = true;
   using MedianEntry = std::pair<double, double>;
-  const uint32_t* rows;
   const double* w;
-  size_t RowOf(size_t i) const { return rows[i]; }
   double Term(double v, size_t i) const { return w[i] * v; }
   MedianEntry Entry(double v, size_t i) const { return {v, w[i]}; }
 };
@@ -260,17 +256,15 @@ Result<GroupedAccumulators> Accumulate(const std::vector<AggSpec>& aggs,
     const AggFunc f = aggs[j].func;
     double* S = acc.sums.data() + j * G;
     double* S2 = f == AggFunc::kVariance ? acc.sums2.data() + j * G : nullptr;
-    VisitValueStream(
-        StreamOf(src), [&wp](size_t i) { return wp.RowOf(i); },
-        [&](auto value_at) {
-          if (f != AggFunc::kMedian) {
-            sum_pass(value_at, S, S2);
-          } else if constexpr (Weights::kWeighted) {
-            median_pass(value_at, &acc.median_pairs[j]);
-          } else {
-            median_pass(value_at, &acc.median_values[j]);
-          }
-        });
+    VisitValueStream(StreamOf(src), [&](auto value_at) {
+      if (f != AggFunc::kMedian) {
+        sum_pass(value_at, S, S2);
+      } else if constexpr (Weights::kWeighted) {
+        median_pass(value_at, &acc.median_pairs[j]);
+      } else {
+        median_pass(value_at, &acc.median_values[j]);
+      }
+    });
   }
   return acc;
 }
@@ -289,14 +283,12 @@ Result<GroupedAccumulators> AccumulateGrouped(
 
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel, const std::vector<uint32_t>& rows,
-    const std::vector<double>& weights) {
+    const std::vector<uint32_t>* sel, const std::vector<double>& weights) {
   return GovernedSection([&]() -> Result<GroupedAccumulators> {
-    CVOPT_ASSIGN_OR_RETURN(
-        BoundAggregates bound,
-        BoundAggregates::BindAtRows(table, query.aggregates, rows));
+    CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
+                           BoundAggregates::Bind(table, query.aggregates));
     return Accumulate(query.aggregates, bound, gidx, sel,
-                      SampleWeights{rows.data(), weights.data()});
+                      SampleWeights{weights.data()});
   });
 }
 

@@ -54,17 +54,16 @@ Result<GroupedAccumulators> AccumulateGrouped(const Table& table,
                                               const std::vector<uint32_t>* sel);
 
 /// The weighted pass over a sample (ExecuteApprox), same kernel, fail
-/// point and visiting order: `gidx` and `sel` index sample positions, and
-/// position i stands for base row rows[i] of `table` with weight
-/// weights[i]. A surviving position adds w to wcnt, w*v to sums, (w*v)*v
-/// to sums2 and (v, w) to a MEDIAN's pairs; chunk-merged passes merge wcnt
-/// in chunk order like the sums. COUNT_IF indicators are evaluated at the
-/// sampled rows only. The weight is a compile-time policy: the unweighted
-/// form above runs the plain exact loops.
+/// point and visiting order: `table` holds the sampled rows contiguously
+/// (StratifiedSample::Gathered), `gidx` is built over it, and position i
+/// carries weight weights[i]. A surviving position adds w to wcnt, w*v to
+/// sums, (w*v)*v to sums2 and (v, w) to a MEDIAN's pairs; chunk-merged
+/// passes merge wcnt in chunk order like the sums. The weight is a
+/// compile-time policy: the unweighted form above runs the plain exact
+/// loops.
 Result<GroupedAccumulators> AccumulateGrouped(
     const Table& table, const QuerySpec& query, const GroupIndex& gidx,
-    const std::vector<uint32_t>* sel, const std::vector<uint32_t>& rows,
-    const std::vector<double>& weights);
+    const std::vector<uint32_t>* sel, const std::vector<double>& weights);
 
 /// Finalizes raw accumulators into the aggregate-major finals array
 /// finals[j * G + g]. Unweighted: AVG/VARIANCE divide by cnt, COUNT is cnt,
@@ -91,10 +90,10 @@ struct ValueStream {
 
 /// The value-stream dispatch of every accumulation loop, hoisted out of the
 /// row loop: calls add(value_of) once, where value_of(i) is the input at
-/// index i — an indicator byte read at i, or a column value read at
-/// row_of(i). Each stream kind instantiates its own specialized loop.
-template <class RowOf, class Add>
-void VisitValueStream(const ValueStream& vs, RowOf row_of, Add&& add) {
+/// row i — an indicator byte or a column value. Each stream kind
+/// instantiates its own specialized loop.
+template <class Add>
+void VisitValueStream(const ValueStream& vs, Add&& add) {
   switch (vs.kind) {
     case ValueStream::kIndicator: {
       const auto* ind = static_cast<const uint8_t*>(vs.data);
@@ -103,14 +102,12 @@ void VisitValueStream(const ValueStream& vs, RowOf row_of, Add&& add) {
     }
     case ValueStream::kDouble: {
       const auto* vals = static_cast<const double*>(vs.data);
-      add([vals, row_of](size_t i) { return vals[row_of(i)]; });
+      add([vals](size_t i) { return vals[i]; });
       break;
     }
     case ValueStream::kInt64: {
       const auto* vals = static_cast<const int64_t*>(vs.data);
-      add([vals, row_of](size_t i) {
-        return static_cast<double>(vals[row_of(i)]);
-      });
+      add([vals](size_t i) { return static_cast<double>(vals[i]); });
       break;
     }
   }

@@ -100,11 +100,34 @@ class StratifiedSample {
   /// engines that want a physical sample table).
   Table Materialize() const { return base_->TakeRows(rows_); }
 
-  /// The GroupIndex over the sampled rows for `group_by`: position i maps
-  /// to the group of base row rows()[i]. Built on first use (with
+  /// The sampled rows as one contiguous Table: row i is base row rows()[i].
+  /// Every column is copied; string columns keep the base table's codes
+  /// and a copy of its dictionary (unlike Materialize, which re-interns and
+  /// renumbers), so predicates, labels and wire key codes over it are the
+  /// base table's. The approximate executor reads only this table, never
+  /// the base rows.
+  ///
+  /// Contract:
+  ///   - Built on first use, under the caller's QueryContext: its bytes
+  ///     are reserved (ReserveMemoryOrThrow) while it is built, so a budget
+  ///     smaller than the copy fails the call with kResourceExhausted.
+  ///   - Thread-safe on a shared const sample. Concurrent first uses may
+  ///     each build; the first to finish publishes and every caller gets
+  ///     that one table. A failed build publishes nothing.
+  ///   - Lifetime and memory: owned by the sample and freed with it (the
+  ///     returned pointer keeps it alive beyond that). Copies of a sample
+  ///     start without it. About 8 bytes per sampled row per numeric
+  ///     column and 4 per string column, plus the dictionaries: 52 bytes
+  ///     per sampled OpenAQ row.
+  Result<std::shared_ptr<const Table>> Gathered() const;
+
+  /// The GroupIndex over the sampled rows for `group_by`, built over
+  /// Gathered(): position i is sample position i. Built on first use (with
   /// observed_strata() as the planner's cardinality prior) and kept on the
   /// sample, so every later query grouping the sample the same way skips
-  /// the build — the catalog-hit path of the server.
+  /// the build — the catalog-hit path of the server. The index reads its
+  /// group keys from the gathered table, which the returned pointer keeps
+  /// alive.
   ///
   /// Contract:
   ///   - Answers are unchanged. An entry is reused only while
@@ -124,23 +147,25 @@ class StratifiedSample {
       const std::vector<std::string>& group_by) const;
 
  private:
-  // The per-grouping index cache behind GroupIndexFor. Copying or assigning
-  // a sample does not carry entries over: the mutex cannot be copied, and
-  // an assigned-to sample's old entries describe other rows.
-  struct IndexCache {
+  // What Gathered and GroupIndexFor keep on the sample. Copying or
+  // assigning a sample does not carry it over: the mutex cannot be copied,
+  // and an assigned-to sample's old contents describe other rows.
+  struct QueryCache {
     struct Entry {
       std::vector<std::string> group_by;
       GroupIndexBuildSettings settings;
       std::shared_ptr<const GroupIndex> index;
     };
-    IndexCache() = default;
-    IndexCache(const IndexCache&) {}
-    IndexCache& operator=(const IndexCache&) {
+    QueryCache() = default;
+    QueryCache(const QueryCache&) {}
+    QueryCache& operator=(const QueryCache&) {
       std::lock_guard<std::mutex> lock(mu);
+      gathered.reset();
       entries.clear();
       return *this;
     }
     std::mutex mu;
+    std::shared_ptr<const Table> gathered;
     std::vector<Entry> entries;
   };
 
@@ -152,7 +177,7 @@ class StratifiedSample {
   std::vector<uint8_t> stratum_exhaustive_;
   std::vector<uint8_t> stratum_degraded_;
   size_t observed_strata_ = 0;
-  mutable IndexCache index_cache_;
+  mutable QueryCache cache_;
 };
 
 }  // namespace cvopt

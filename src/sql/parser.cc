@@ -12,107 +12,109 @@ namespace {
 enum class TokKind { kIdent, kNumber, kString, kSymbol, kEnd };
 
 struct Token {
-  TokKind kind;
+  TokKind kind = TokKind::kEnd;
   std::string text;   // idents upper-cased for keyword matching; symbols as-is
   std::string raw;    // original spelling (idents keep case; strings unquoted)
   double number = 0;
 };
 
+// Lexes on demand: the parser holds one token at a time, so a statement's
+// working memory is its parse tree plus the current token, whatever its
+// length.
 class Lexer {
  public:
   explicit Lexer(const std::string& sql) : sql_(sql) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    size_t i = 0;
+  // The next token; kEnd once the input is exhausted (and on every later
+  // call).
+  Result<Token> Next() {
     const size_t n = sql_.size();
-    while (i < n) {
-      const char c = sql_[i];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-        continue;
+    while (i_ < n && std::isspace(static_cast<unsigned char>(sql_[i_]))) ++i_;
+    if (i_ >= n) return Token{TokKind::kEnd, "", "", 0};
+    const size_t i = i_;
+    const char c = sql_[i];
+    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      size_t j = i;
+      while (j < n && (std::isalnum(static_cast<unsigned char>(sql_[j])) ||
+                       sql_[j] == '_')) {
+        ++j;
       }
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t j = i;
-        while (j < n && (std::isalnum(static_cast<unsigned char>(sql_[j])) ||
-                         sql_[j] == '_')) {
-          ++j;
-        }
-        Token t;
-        t.kind = TokKind::kIdent;
-        t.raw = sql_.substr(i, j - i);
-        t.text = t.raw;
-        std::transform(t.text.begin(), t.text.end(), t.text.begin(),
-                       [](unsigned char ch) { return std::toupper(ch); });
-        out.push_back(std::move(t));
-        i = j;
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) ||
-          (c == '.' && i + 1 < n &&
-           std::isdigit(static_cast<unsigned char>(sql_[i + 1])))) {
-        size_t j = i;
-        while (j < n && (std::isdigit(static_cast<unsigned char>(sql_[j])) ||
-                         sql_[j] == '.' || sql_[j] == 'e' || sql_[j] == 'E' ||
-                         ((sql_[j] == '+' || sql_[j] == '-') && j > i &&
-                          (sql_[j - 1] == 'e' || sql_[j - 1] == 'E')))) {
-          ++j;
-        }
-        Token t;
-        t.kind = TokKind::kNumber;
-        t.raw = sql_.substr(i, j - i);
-        t.text = t.raw;
-        try {
-          t.number = std::stod(t.raw);
-        } catch (...) {
-          return Status::InvalidArgument("bad numeric literal '" + t.raw + "'");
-        }
-        out.push_back(std::move(t));
-        i = j;
-        continue;
-      }
-      if (c == '\'') {
-        size_t j = i + 1;
-        std::string s;
-        while (j < n && sql_[j] != '\'') s += sql_[j++];
-        if (j >= n) return Status::InvalidArgument("unterminated string literal");
-        Token t;
-        t.kind = TokKind::kString;
-        t.raw = s;
-        t.text = s;
-        out.push_back(std::move(t));
-        i = j + 1;
-        continue;
-      }
-      // Two-character operators first.
-      if (i + 1 < n) {
-        const std::string two = sql_.substr(i, 2);
-        if (two == "<=" || two == ">=" || two == "!=" || two == "<>") {
-          out.push_back({TokKind::kSymbol, two, two, 0});
-          i += 2;
-          continue;
-        }
-      }
-      const std::string one(1, c);
-      if (one == "(" || one == ")" || one == "," || one == "=" || one == "<" ||
-          one == ">" || one == "*" || one == ";") {
-        out.push_back({TokKind::kSymbol, one, one, 0});
-        ++i;
-        continue;
-      }
-      return Status::InvalidArgument(StrFormat("unexpected character '%c'", c));
+      Token t;
+      t.kind = TokKind::kIdent;
+      t.raw = sql_.substr(i, j - i);
+      t.text = t.raw;
+      std::transform(t.text.begin(), t.text.end(), t.text.begin(),
+                     [](unsigned char ch) { return std::toupper(ch); });
+      i_ = j;
+      return t;
     }
-    out.push_back({TokKind::kEnd, "", "", 0});
-    return out;
+    if (std::isdigit(static_cast<unsigned char>(c)) ||
+        (c == '.' && i + 1 < n &&
+         std::isdigit(static_cast<unsigned char>(sql_[i + 1])))) {
+      size_t j = i;
+      while (j < n && (std::isdigit(static_cast<unsigned char>(sql_[j])) ||
+                       sql_[j] == '.' || sql_[j] == 'e' || sql_[j] == 'E' ||
+                       ((sql_[j] == '+' || sql_[j] == '-') && j > i &&
+                        (sql_[j - 1] == 'e' || sql_[j - 1] == 'E')))) {
+        ++j;
+      }
+      Token t;
+      t.kind = TokKind::kNumber;
+      t.raw = sql_.substr(i, j - i);
+      t.text = t.raw;
+      try {
+        t.number = std::stod(t.raw);
+      } catch (...) {
+        return Status::InvalidArgument("bad numeric literal '" + t.raw + "'");
+      }
+      i_ = j;
+      return t;
+    }
+    if (c == '\'') {
+      const size_t j = sql_.find('\'', i + 1);
+      if (j == std::string::npos) {
+        return Status::InvalidArgument("unterminated string literal");
+      }
+      Token t;
+      t.kind = TokKind::kString;
+      t.raw = sql_.substr(i + 1, j - i - 1);
+      t.text = t.raw;
+      i_ = j + 1;
+      return t;
+    }
+    // Two-character operators first.
+    if (i + 1 < n) {
+      const std::string two = sql_.substr(i, 2);
+      if (two == "<=" || two == ">=" || two == "!=" || two == "<>") {
+        i_ += 2;
+        return Token{TokKind::kSymbol, two, two, 0};
+      }
+    }
+    if (c == '(' || c == ')' || c == ',' || c == '=' || c == '<' || c == '>' ||
+        c == '*' || c == ';') {
+      ++i_;
+      const std::string one(1, c);
+      return Token{TokKind::kSymbol, one, one, 0};
+    }
+    return Status::InvalidArgument(StrFormat("unexpected character '%c'", c));
   }
 
  private:
   const std::string& sql_;
+  size_t i_ = 0;
 };
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : toks_(std::move(tokens)) {}
+  explicit Parser(const std::string& sql) : lexer_(sql) { Advance(); }
+
+  // The statement's first malformed token, if any — lexing on from where
+  // the parser stopped, so a lexical error anywhere in the input wins over
+  // a parse error, exactly as when the whole input was lexed up front.
+  Status LexError() {
+    while (lex_error_.ok() && cur_.kind != TokKind::kEnd) Advance();
+    return lex_error_;
+  }
 
   Result<ParsedQuery> Parse() {
     ParsedQuery out;
@@ -169,22 +171,35 @@ class Parser {
   }
 
  private:
-  const Token& Peek(size_t ahead = 0) const {
-    const size_t i = std::min(pos_ + ahead, toks_.size() - 1);
-    return toks_[i];
+  const Token& Peek() const { return cur_; }
+  Token Next() {
+    Token t = std::move(cur_);
+    Advance();
+    return t;
   }
-  const Token& Next() { return toks_[std::min(pos_++, toks_.size() - 1)]; }
+  // Lexes the next token into cur_. A lexical error ends the token stream
+  // (cur_ becomes kEnd) and is kept for LexError.
+  void Advance() {
+    if (!lex_error_.ok()) return;
+    Result<Token> t = lexer_.Next();
+    if (t.ok()) {
+      cur_ = std::move(t).value();
+    } else {
+      lex_error_ = t.status();
+      cur_ = Token{TokKind::kEnd, "", "", 0};
+    }
+  }
 
   bool ConsumeKeyword(const std::string& kw) {
     if (Peek().kind == TokKind::kIdent && Peek().text == kw) {
-      ++pos_;
+      Advance();
       return true;
     }
     return false;
   }
   bool ConsumeSymbol(const std::string& s) {
     if (Peek().kind == TokKind::kSymbol && Peek().text == s) {
-      ++pos_;
+      Advance();
       return true;
     }
     return false;
@@ -284,7 +299,7 @@ class Parser {
   Result<PredicatePtr> ParseAnd() {
     CVOPT_ASSIGN_OR_RETURN(PredicatePtr lhs, ParseUnary());
     while (Peek().kind == TokKind::kIdent && Peek().text == "AND") {
-      ++pos_;
+      Advance();
       const int lhs_height = height_;
       CVOPT_ASSIGN_OR_RETURN(PredicatePtr rhs, ParseUnary());
       CVOPT_RETURN_NOT_OK(SetHeight(1 + std::max(lhs_height, height_)));
@@ -314,9 +329,8 @@ class Parser {
   }
 
   Result<Value> ParseLiteral() {
-    const Token& t = Peek();
-    if (t.kind == TokKind::kNumber) {
-      Next();
+    if (Peek().kind == TokKind::kNumber) {
+      const Token t = Next();
       // Integral literals stay int64 so they compare against int columns;
       // a literal past the int64 range stays a double (casting it would
       // be UB).
@@ -327,11 +341,9 @@ class Parser {
       }
       return Value(t.number);
     }
-    if (t.kind == TokKind::kString) {
-      Next();
-      return Value(t.raw);
-    }
-    return Status::InvalidArgument("expected literal near '" + t.raw + "'");
+    if (Peek().kind == TokKind::kString) return Value(Next().raw);
+    return Status::InvalidArgument("expected literal near '" + Peek().raw +
+                                   "'");
   }
 
   Result<PredicatePtr> ParseComparison() {
@@ -384,8 +396,9 @@ class Parser {
     return Predicate::Compare(col, op, std::move(lit));
   }
 
-  std::vector<Token> toks_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token cur_;
+  Status lex_error_;
   int open_ = 0;
   int height_ = 0;
 };
@@ -393,11 +406,11 @@ class Parser {
 }  // namespace
 
 Result<ParsedQuery> ParseSql(const std::string& sql) {
-  Lexer lexer(sql);
-  CVOPT_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
-  CVOPT_ASSIGN_OR_RETURN(ParsedQuery parsed, parser.Parse());
-  parsed.query.name = sql;
+  Parser parser(sql);
+  Result<ParsedQuery> parsed = parser.Parse();
+  CVOPT_RETURN_NOT_OK(parser.LexError());
+  if (!parsed.ok()) return parsed.status();
+  parsed->query.name = sql;
   return parsed;
 }
 

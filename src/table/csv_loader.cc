@@ -1,5 +1,7 @@
 #include "src/table/csv_loader.h"
 
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -148,7 +150,8 @@ Result<Table> TableFromCsvInferred(const std::string& csv_text,
   std::vector<std::string> fields;
   const size_t start = options.has_header ? 1 : 0;
   const size_t end =
-      std::min(lines.size(), start + std::max<size_t>(1, options.inference_rows));
+      start + std::min(lines.size() - start,
+                       std::max<size_t>(1, options.inference_rows));
   for (size_t ln = start; ln < end; ++ln) {
     if (lines[ln].empty()) continue;
     if (!SplitRecord(lines[ln], options.delimiter, &fields) ||
@@ -181,6 +184,13 @@ Result<Table> TableFromCsvFile(const std::string& path, const Schema& schema,
                                const CsvOptions& options) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return Status::NotFound("cannot open: " + path);
+  // A directory opens too, but its "size" is an lseek artifact (up to
+  // LLONG_MAX), which the buffer below cannot hold.
+  struct stat st;
+  if (::fstat(::fileno(f), &st) != 0 || !S_ISREG(st.st_mode)) {
+    std::fclose(f);
+    return Status::InvalidArgument("not a regular file: " + path);
+  }
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
   if (size < 0) {

@@ -12,6 +12,7 @@
 #include "src/estimate/approx_executor.h"
 #include "src/exec/agg_planner.h"
 #include "src/exec/group_by_executor.h"
+#include "src/exec/query_context.h"
 #include "src/sample/cvopt_sampler.h"
 #include "src/sample/uniform_sampler.h"
 #include "src/util/failpoint.h"
@@ -293,6 +294,104 @@ TEST(ApproxIndexCacheTest, CachedMatchesUncachedUnderEveryBuildSetting) {
         }
       }
     }
+  }
+}
+
+
+// ---------------------------------------------------------------------------
+// The sample's gathered rows (StratifiedSample::Gathered): one contiguous
+// copy the approximate executor reads instead of the base table.
+
+TEST(ApproxGatherTest, GatheredColumnsEqualBaseAtSampledRows) {
+  const StratifiedSample s = OpenAqSample();
+  const Table& base = s.base();
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> g, s.Gathered());
+  ASSERT_EQ(g->num_rows(), s.size());
+  ASSERT_EQ(g->num_columns(), base.num_columns());
+  for (size_t c = 0; c < base.num_columns(); ++c) {
+    SCOPED_TRACE(base.schema().field(c).name);
+    EXPECT_EQ(g->schema().field(c).name, base.schema().field(c).name);
+    const Column& gc = g->column(c);
+    const Column& bc = base.column(c);
+    ASSERT_EQ(gc.type(), bc.type());
+    ASSERT_EQ(gc.size(), s.size());
+    // Same codes, same dictionary: labels and wire key codes over the
+    // gathered table are the base table's.
+    EXPECT_EQ(gc.dictionary(), bc.dictionary());
+    for (size_t i = 0; i < s.size(); ++i) {
+      const uint32_t row = s.rows()[i];
+      switch (gc.type()) {
+        case DataType::kString:
+          ASSERT_EQ(gc.GetCode(i), bc.GetCode(row)) << i;
+          break;
+        case DataType::kInt64:
+          ASSERT_EQ(gc.GetInt(i), bc.GetInt(row)) << i;
+          break;
+        case DataType::kDouble: {
+          const double x = gc.GetDouble(i), y = bc.GetDouble(row);
+          ASSERT_EQ(std::memcmp(&x, &y, sizeof(double)), 0) << i;
+          break;
+        }
+      }
+    }
+  }
+  // Later calls hand out the one published table.
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> again, s.Gathered());
+  EXPECT_EQ(again.get(), g.get());
+}
+
+// A budget that holds the group index and accumulators of the sample's
+// queries but not the gathered copy (6,000 rows x 52 bytes).
+constexpr uint64_t kBelowGatherBytes = 100 << 10;
+
+Result<QueryResult> ExecuteApproxWithin(uint64_t bytes,
+                                        const StratifiedSample& s,
+                                        const QuerySpec& q) {
+  QueryContext ctx;
+  ctx.set_memory_limit(bytes);
+  ScopedQueryContext install(&ctx);
+  return ExecuteApprox(s, q);
+}
+
+TEST(ApproxGatherTest, BudgetBelowGatherFailsAndPublishesNothing) {
+  const StratifiedSample s = OpenAqSample();
+  const QuerySpec q = CacheQuery({"country", "parameter"}, true);
+  EXPECT_EQ(ExecuteApproxWithin(kBelowGatherBytes, s, q).status().code(),
+            StatusCode::kResourceExhausted);
+  // Nothing was published: the same budget fails again rather than
+  // finding a gathered table.
+  EXPECT_EQ(ExecuteApproxWithin(kBelowGatherBytes, s, q).status().code(),
+            StatusCode::kResourceExhausted);
+
+  ASSERT_OK_AND_ASSIGN(QueryResult after, ExecuteApprox(s, q));
+  const StratifiedSample fresh = s;
+  ASSERT_OK_AND_ASSIGN(QueryResult uncached, ExecuteApprox(fresh, q));
+  ExpectBitIdentical(uncached, after);
+  // Now gathered and indexed, the sample answers within the small budget.
+  ASSERT_OK_AND_ASSIGN(QueryResult small,
+                       ExecuteApproxWithin(kBelowGatherBytes, s, q));
+  ExpectBitIdentical(uncached, small);
+}
+
+TEST(ApproxGatherTest, CopiedSampleStartsEmpty) {
+  const StratifiedSample s = OpenAqSample();
+  const QuerySpec q = CacheQuery({"country"}, false);
+  ASSERT_OK_AND_ASSIGN(QueryResult want, ExecuteApprox(s, q));
+  ASSERT_OK(ExecuteApproxWithin(kBelowGatherBytes, s, q).status());
+
+  const StratifiedSample copy = s;
+  StratifiedSample assigned = OpenAqSample();
+  ASSERT_OK(assigned.Gathered().status());
+  assigned = s;
+  const StratifiedSample* const copies[] = {&copy, &assigned};
+  for (const StratifiedSample* c : copies) {
+    EXPECT_EQ(ExecuteApproxWithin(kBelowGatherBytes, *c, q).status().code(),
+              StatusCode::kResourceExhausted);
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> mine, c->Gathered());
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<const Table> theirs, s.Gathered());
+    EXPECT_NE(mine.get(), theirs.get());
+    ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteApprox(*c, q));
+    ExpectBitIdentical(want, got);
   }
 }
 

@@ -459,9 +459,11 @@ TEST_F(ServerTest, MetricsScrapeAndShutdownRequest) {
 
 // A catalog sample is shared across pipeline workers, so the first query
 // grouping it can arrive on several threads at once. Each such first touch
-// may build the sample's group index; all of them, and every later hit,
-// must answer exactly as an uncached sample does. The tsan-server job runs
-// this under ThreadSanitizer with the morsel pool fanning out underneath.
+// may gather the sampled rows and build the sample's group index; all of
+// them, and every later hit, must answer exactly as an uncached sample
+// does, and every thread must end up reading the one published gather.
+// The tsan-server job runs this under ThreadSanitizer with the morsel pool
+// fanning out underneath.
 TEST(SampleIndexCacheConcurrencyTest, ConcurrentFirstTouchAgrees) {
   ScopedExecThreads pool(4);
   const Table table = MakeSkewedTable(/*groups=*/12, /*base=*/500);
@@ -485,6 +487,7 @@ TEST(SampleIndexCacheConcurrencyTest, ConcurrentFirstTouchAgrees) {
   constexpr int kThreads = 8;
   constexpr int kRounds = 3;  // round 0 is the concurrent first touch
   std::vector<std::vector<Result<QueryResult>>> got(kThreads);
+  std::vector<const Table*> gathered(kThreads, nullptr);
   std::atomic<int> ready{0};
   {
     std::vector<std::thread> threads;
@@ -496,6 +499,8 @@ TEST(SampleIndexCacheConcurrencyTest, ConcurrentFirstTouchAgrees) {
           got[t].push_back(
               ExecuteApprox(*shared, queries[(t + round) % queries.size()]));
         }
+        Result<std::shared_ptr<const Table>> g = shared->Gathered();
+        if (g.ok()) gathered[t] = g->get();
       });
     }
     for (std::thread& th : threads) th.join();
@@ -508,6 +513,9 @@ TEST(SampleIndexCacheConcurrencyTest, ConcurrentFirstTouchAgrees) {
                          got[t][round].value());
     }
   }
+  ASSERT_NE(gathered[0], nullptr);
+  EXPECT_EQ(gathered[0]->num_rows(), shared->size());
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(gathered[t], gathered[0]) << t;
 }
 
 // Catalog LRU eviction. Builds are deterministic in (seed, key), so a

@@ -7,12 +7,44 @@
 // ASan/UBSan pass of tools/run_sanitizers.sh sweeps every parser branch.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "src/sql/parser.h"
 #include "tests/sql_corpus.h"
 #include "tests/test_util.h"
+
+namespace cvopt {
+namespace {
+
+// Bytes requested from operator new since the last reset. The server
+// parses request SQL on its pipeline workers, so a parser whose memory
+// grows with the statement lets one large frame exhaust the process.
+std::atomic<size_t> g_allocated{0};
+
+template <typename Fn>
+size_t BytesAllocatedDuring(Fn&& fn) {
+  g_allocated.store(0);
+  fn();
+  return g_allocated.load();
+}
+
+}  // namespace
+}  // namespace cvopt
+
+void* operator new(size_t n) {
+  cvopt::g_allocated.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace cvopt {
 namespace {
@@ -96,6 +128,33 @@ TEST(SqlParserFuzzTest, OutOfRangeLiteralsParseCleanly) {
       ParsedQuery p, ParseSql("SELECT COUNT(*) FROM t WHERE a = 1" +
                               std::string(30, '0')));
   EXPECT_EQ(p.query.where->ToString(), "a = 1000000000000000019884624838656.0");
+}
+
+// Statements far past the depth limit are rejected with memory bounded by
+// a small multiple of their length, counting every byte allocated while
+// parsing (not just the peak): the lexer hands the parser one token at a
+// time instead of materializing them all.
+TEST(SqlParserFuzzTest, OversizedStatementsAllocateLittle) {
+  constexpr size_t kMaxBytesPerInputByte = 2;
+  std::string chain = "SELECT COUNT(*) FROM t WHERE a = 1";
+  for (int i = 1; i < 100'000; ++i) chain += " AND a = 1";
+  const std::vector<std::string> inputs = {
+      "SELECT COUNT(*) FROM t WHERE " + std::string(2 << 20, '('),
+      std::string(2 << 20, '('), chain};
+  for (const std::string& sql : inputs) {
+    Result<ParsedQuery> r = Status::Internal("unset");
+    const size_t bytes = BytesAllocatedDuring([&] { r = ParseSql(sql); });
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_LE(bytes, kMaxBytesPerInputByte * sql.size()) << sql.size();
+  }
+  // A lexical error after the point where parsing fails still wins, as
+  // when the whole statement was lexed before parsing.
+  const Result<ParsedQuery> late =
+      ParseSql("SELECT COUNT(*) FROM t WHERE " + std::string(1000, '(') + "$");
+  EXPECT_EQ(late.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(late.status().message().find("unexpected character"),
+            std::string::npos)
+      << late.status().ToString();
 }
 
 }  // namespace

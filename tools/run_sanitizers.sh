@@ -9,9 +9,11 @@
 # byte-flip of a chunked file through MappedTable::Open / GetChunk /
 # ReadTableFile, and this pass is what turns "clean Status" into "no
 # out-of-bounds read, ever". tests/protocol_fuzz_test.cc does the same for
-# the server's wire decoders (truncations, byte flips, hostile counts), and
+# the server's wire decoders (truncations, byte flips, hostile counts),
 # tests/sql_parser_fuzz_test.cc for the SQL parser (truncations, byte flips
-# and predicates at the nesting-depth limit over the parser corpus).
+# and predicates at the nesting-depth limit over the parser corpus), and
+# tests/csv_loader_fuzz_test.cc for the CSV loader (truncations and byte
+# flips over a typed corpus, plus out-of-range numbers and ragged rows).
 # Run before merging changes to src/expr/, src/table/, src/sql/ or
 # src/server/protocol.*.
 #
