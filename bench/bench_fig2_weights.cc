@@ -29,8 +29,9 @@ double PerAggregateError(const Table& table, const QuerySpec& weighted,
     QueryResult approx = std::move(ExecuteApprox(sample, eval)).ValueOrDie();
     double err = 0;
     size_t n = 0;
+    const auto match = MatchGroups(truth, approx);
     for (size_t i = 0; i < truth.num_groups(); ++i) {
-      auto j = approx.Find(truth.key(i));
+      const auto j = match[i];
       const double tv = truth.value(i, agg);
       if (std::fabs(tv) < 1e-12) continue;
       if (!j.has_value()) {

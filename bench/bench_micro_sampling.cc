@@ -121,8 +121,8 @@ void BM_DrawStratifiedParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_DrawStratifiedParallel)->Apply(ThreadArgs)->UseRealTime();
 
-// Streaming-router row throughput: the per-row packed dense-id probe that
-// replaced GroupKey materialization + interning in the streaming sampler.
+// Streaming-router row throughput: the per-row packed dense-id probe of
+// the streaming sampler.
 void BM_StreamingRouterRoute(benchmark::State& state) {
   const Table& t = BenchTable();
   auto cols =

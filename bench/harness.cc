@@ -224,8 +224,9 @@ EvalStats EvaluateAq1(const Table& table, const Sampler& sampler, double rate,
   // near-zero changes at its reporting granularity.
   QueryResult exact_diff(exact_diff_all.agg_labels(),
                          exact_diff_all.group_attrs());
+  const auto base_of = MatchGroups(exact_diff_all, exact17);
   for (size_t i = 0; i < exact_diff_all.num_groups(); ++i) {
-    const auto base = exact17.Find(exact_diff_all.key(i));
+    const auto base = base_of[i];
     if (!base.has_value()) continue;
     bool significant = true;
     for (size_t a = 0; a < exact_diff_all.num_aggregates(); ++a) {
@@ -234,10 +235,8 @@ EvalStats EvaluateAq1(const Table& table, const Sampler& sampler, double rate,
       if (change < 0.15 * base_v || base_v == 0.0) significant = false;
     }
     if (significant) {
-      Status st = exact_diff.AddGroup(exact_diff_all.key(i),
-                                      exact_diff_all.label(i),
-                                      exact_diff_all.values(i));
-      CVOPT_CHECK(st.ok(), "filtered diff insert failed");
+      exact_diff.AddGroup(exact_diff_all.key_codes(i), exact_diff_all.label(i),
+                          exact_diff_all.values(i).data());
     }
   }
 

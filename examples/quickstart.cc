@@ -61,8 +61,9 @@ int main() {
   auto approx = engine.AnswerApprox("s", query);
   if (!exact.ok() || !approx.ok()) return 1;
   std::printf("\n%-12s %12s %12s\n", "major", "exact", "approx");
+  const auto match = MatchGroups(*exact, *approx);
   for (size_t i = 0; i < exact->num_groups(); ++i) {
-    auto j = approx->Find(exact->key(i));
+    const auto j = match[i];
     std::printf("%-12s %12.4f %12.4f\n", exact->label(i).c_str(),
                 exact->value(i, 0), j ? approx->value(*j, 0) : 0.0);
   }

@@ -37,8 +37,9 @@ int main() {
   std::printf("\n%-8s", "group");
   for (const auto& l : exact->agg_labels()) std::printf(" %20s", l.c_str());
   std::printf("\n");
+  const auto match = MatchGroups(*exact, *approx);
   for (size_t i = 0; i < exact->num_groups(); ++i) {
-    auto j = approx->Find(exact->key(i));
+    const auto j = match[i];
     std::printf("%-8s", exact->label(i).c_str());
     for (size_t a = 0; a < exact->num_aggregates(); ++a) {
       const double truth = exact->value(i, a);

@@ -130,7 +130,7 @@ Result<AllocationPlan> PlanCvoptAllocation(const Table& table,
               const double sigma_a = parent_stats.At(a, j).stddev_population();
               double w = q.weight * q.aggregates[j].weight;
               if (options.group_weight_fn) {
-                w *= options.group_weight_fn(qi, proj.parent_keys[a], j);
+                w *= options.group_weight_fn(qi, proj.parent_key(a), j);
               }
               if (w <= 0.0) continue;
               inner += w * sigma_c * sigma_c / SquaredMeanFloored(mu_a, sigma_a);

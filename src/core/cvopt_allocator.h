@@ -14,6 +14,7 @@
 #ifndef CVOPT_CORE_CVOPT_ALLOCATOR_H_
 #define CVOPT_CORE_CVOPT_ALLOCATOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -36,8 +37,11 @@ enum class CvNorm { kL2, kLinf, kLp };
 /// plug in workload-deduced frequencies (Section 4.3). Invoked serially:
 /// the allocator's beta loop morsels through the execution pool only when
 /// no callback is installed, so stateful callbacks keep working unchanged.
+/// `group_codes` is the group's flat key: one code per attribute of the
+/// query's GROUP BY, in its order (an int column's value, a string column's
+/// dictionary code).
 using GroupWeightFn = std::function<double(
-    size_t query_index, const GroupKey& group_key, size_t agg_index)>;
+    size_t query_index, const int64_t* group_codes, size_t agg_index)>;
 
 /// Options controlling the allocation.
 struct AllocatorOptions {

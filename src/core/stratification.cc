@@ -22,7 +22,7 @@ Result<Stratification> Stratification::Build(const Table& table,
   // all come from the shared group-id pipeline.
   CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx, GroupIndex::Build(table, out.attrs_));
   out.column_indices_ = gidx.column_indices();
-  out.keys_ = gidx.Keys();
+  out.key_codes_ = gidx.KeyCodes();
   out.row_strata_ = gidx.TakeRowGroups();
   out.sizes_ = gidx.TakeSizes();
   // A partitioned build hands its artifact over: per-stratum row lists then
@@ -49,7 +49,7 @@ Result<Stratification> Stratification::Build(const Table& table,
   CVOPT_ASSIGN_OR_RETURN(GroupIndex gidx,
                          GroupIndex::BuildForRows(table, out.attrs_, rows));
   out.column_indices_ = gidx.column_indices();
-  out.keys_ = gidx.Keys();
+  out.key_codes_ = gidx.KeyCodes();
   out.sizes_ = gidx.TakeSizes();
   out.row_strata_.assign(table.num_rows(), kNoStratum);
   const std::vector<uint32_t> pos_strata = gidx.TakeRowGroups();
@@ -180,21 +180,27 @@ Result<Stratification::Projection> Stratification::Project(
     proj.parent_column_indices.push_back(column_indices_[p]);
   }
 
-  proj.stratum_to_parent.resize(num_strata());
-  GroupKeyInterner interner(num_strata());
-  GroupKey sub;
-  sub.codes.resize(positions.size());
-  for (size_t c = 0; c < num_strata(); ++c) {
-    for (size_t j = 0; j < positions.size(); ++j) {
-      sub.codes[j] = keys_[c].codes[positions[j]];
-    }
-    const uint32_t parent = interner.Intern(sub);
-    if (parent == proj.parent_sizes.size()) proj.parent_sizes.push_back(0);
-    proj.stratum_to_parent[c] = parent;
-    proj.parent_sizes[parent] += sizes_[c];
+  // Route the strata's projected keys in stratum order: the router's
+  // first-seen ids are the parent ids and its codes their keys.
+  const size_t r = num_strata();
+  StreamGroupRouter router(
+      std::vector<DataType>(positions.size(), DataType::kInt64));
+  proj.stratum_to_parent.resize(r);
+  RouteKeyColumns(key_codes_.data(), r, column_indices_.size(), positions,
+                  &router, proj.stratum_to_parent.data());
+  proj.parent_sizes.assign(router.num_groups(), 0);
+  for (size_t c = 0; c < r; ++c) {
+    proj.parent_sizes[proj.stratum_to_parent[c]] += sizes_[c];
   }
-  proj.parent_keys = interner.TakeKeys();
+  proj.parent_codes = router.codes();
   return proj;
+}
+
+std::string Stratification::Label(size_t stratum) const {
+  std::string out;
+  AppendKeyLabel(key_codes(stratum), KeyDictsOf(*table_, column_indices_),
+                 &out);
+  return out;
 }
 
 std::vector<std::string> UnionAttrs(

@@ -15,7 +15,6 @@
 
 #include "src/exec/group_index.h"
 #include "src/expr/predicate.h"
-#include "src/stats/group_key.h"
 #include "src/table/table.h"
 #include "src/util/status.h"
 
@@ -49,7 +48,7 @@ class Stratification {
   const std::vector<std::string>& attrs() const { return attrs_; }
   const std::vector<size_t>& column_indices() const { return column_indices_; }
 
-  size_t num_strata() const { return keys_.size(); }
+  size_t num_strata() const { return sizes_.size(); }
 
   /// Per-row stratum ids, aligned with table rows.
   const std::vector<uint32_t>& row_strata() const { return row_strata_; }
@@ -80,30 +79,37 @@ class Stratification {
     return stratum_rows_materialized() || lists_->parts != nullptr;
   }
 
-  const GroupKey& key(size_t stratum) const { return keys_[stratum]; }
+  /// Stratum c's key: attrs().size() codes (group_index.h's flat keys).
+  const int64_t* key_codes(size_t stratum) const {
+    return key_codes_.data() + stratum * column_indices_.size();
+  }
 
   /// Human-readable stratum label, e.g. "US|pm25".
-  std::string Label(size_t stratum) const {
-    return keys_[stratum].Render(*table_, column_indices_);
-  }
+  std::string Label(size_t stratum) const;
 
   /// Mapping of this (finest) stratification onto the coarser grouping by a
   /// subset of its attributes: the paper's Pi(c, A) and C(a).
   struct Projection {
     /// For every stratum c, the id of its parent group a = Pi(c, A).
     std::vector<uint32_t> stratum_to_parent;
-    /// Keys of the parent groups (over `sub_attrs`).
-    std::vector<GroupKey> parent_keys;
+    /// Flat keys of the parent groups (over `sub_attrs`): parent a's key is
+    /// parent_codes[a * sub_attrs.size() ..) — parent_key(a).
+    std::vector<int64_t> parent_codes;
     /// n_a: total rows in each parent group.
     std::vector<uint64_t> parent_sizes;
     /// Column indices of the sub-attributes in the source table.
     std::vector<size_t> parent_column_indices;
 
-    size_t num_parents() const { return parent_keys.size(); }
+    size_t num_parents() const { return parent_sizes.size(); }
+    const int64_t* parent_key(size_t a) const {
+      return parent_codes.data() + a * parent_column_indices.size();
+    }
   };
 
   /// Projects onto `sub_attrs`, which must be a subset of attrs(). An empty
-  /// list projects every stratum onto one full-table group.
+  /// list projects every stratum onto one full-table group. Parent ids are
+  /// assigned in first-seen stratum order (parent 0 is stratum 0's parent),
+  /// so they, too, follow first-seen row order.
   Result<Projection> Project(const std::vector<std::string>& sub_attrs) const;
 
  private:
@@ -133,7 +139,7 @@ class Stratification {
   std::vector<size_t> column_indices_;
   std::vector<uint32_t> row_strata_;
   std::vector<uint64_t> sizes_;
-  std::vector<GroupKey> keys_;
+  std::vector<int64_t> key_codes_;  // row-major, stride = attrs_.size()
   std::shared_ptr<RowListCache> lists_ = std::make_shared<RowListCache>();
 };
 

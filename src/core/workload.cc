@@ -20,10 +20,10 @@ std::string CanonicalAttrs(std::vector<std::string> attrs) {
   return Join(attrs, ",");
 }
 
-std::string KeyToken(const GroupKey& key) {
+std::string KeyToken(const int64_t* codes, size_t arity) {
   std::string s;
-  for (int64_t c : key.codes) {
-    s += StrFormat("%lld,", static_cast<long long>(c));
+  for (size_t i = 0; i < arity; ++i) {
+    s += StrFormat("%lld,", static_cast<long long>(codes[i]));
   }
   return s;
 }
@@ -114,12 +114,15 @@ Result<Workload::AllocationInput> Workload::Deduce(const Table& table) const {
         seen[g] = gidx.sizes()[g] > 0 ? 1 : 0;
       }
     }
+    std::vector<int64_t> gkey;
     for (size_t g = 0; g < gidx.num_groups(); ++g) {
       if (!seen[g]) continue;
-      const GroupKey gkey = gidx.KeyOf(g);
+      gkey.clear();
+      gidx.AppendKeyCodes(g, &gkey);
+      const std::string token = KeyToken(gkey.data(), gkey.size());
       for (const auto& agg : q.aggregates) {
         const std::string label = agg.Label();
-        const std::string fkey = canon + "#" + label + "#" + KeyToken(gkey);
+        const std::string fkey = canon + "#" + label + "#" + token;
         (*freqs)[fkey] += freq;
         auto dit = diagnostics.find(fkey);
         if (dit == diagnostics.end()) {
@@ -138,25 +141,29 @@ Result<Workload::AllocationInput> Workload::Deduce(const Table& table) const {
   }
 
   // 3. Bind the weight function. Captures the deduced frequencies and the
-  //    per-query canonical attrs + agg labels by value.
+  //    per-query canonical attrs, key arity and agg labels by value.
   std::vector<std::string> canon_by_query(out.queries.size());
   std::vector<std::vector<std::string>> labels_by_query(out.queries.size());
+  std::vector<size_t> arity_by_query(out.queries.size());
   for (const auto& [canon, qi] : query_index) {
     canon_by_query[qi] = canon;
+    arity_by_query[qi] = out.queries[qi].group_by.size();
     for (const auto& agg : out.queries[qi].aggregates) {
       labels_by_query[qi].push_back(agg.Label());
     }
   }
   out.options.norm = CvNorm::kL2;
   out.options.group_weight_fn =
-      [freqs, canon_by_query, labels_by_query](
-          size_t query_index_in, const GroupKey& group_key,
+      [freqs, canon_by_query, labels_by_query, arity_by_query](
+          size_t query_index_in, const int64_t* group_codes,
           size_t agg_index) -> double {
     if (query_index_in >= canon_by_query.size()) return 0.0;
     const auto& labels = labels_by_query[query_index_in];
     if (agg_index >= labels.size()) return 0.0;
     const std::string fkey = canon_by_query[query_index_in] + "#" +
-                             labels[agg_index] + "#" + KeyToken(group_key);
+                             labels[agg_index] + "#" +
+                             KeyToken(group_codes,
+                                      arity_by_query[query_index_in]);
     auto it = freqs->find(fkey);
     return it == freqs->end() ? 0.0 : it->second;
   };

@@ -57,8 +57,9 @@ Result<ErrorReport> CompareResults(const QueryResult& exact,
   }
   ErrorReport report;
   const size_t t = exact.num_aggregates();
+  const std::vector<std::optional<size_t>> match = MatchGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    const auto j = approx.Find(exact.key(i));
+    const std::optional<size_t> j = match[i];
     if (!j.has_value()) {
       report.missing_groups++;
       for (size_t a = 0; a < t; ++a) {

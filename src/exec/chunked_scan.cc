@@ -10,9 +10,7 @@
 #include "src/exec/parallel.h"
 #include "src/exec/query_context.h"
 #include "src/expr/compiled_predicate.h"
-#include "src/stats/group_key.h"
 #include "src/util/failpoint.h"
-#include "src/util/string_util.h"
 
 namespace cvopt {
 
@@ -43,26 +41,6 @@ Table MakePrototype(const MappedTable& mt) {
     cols.push_back(std::move(col));
   }
   return Table(mt.schema(), std::move(cols));
-}
-
-// Renders a group label exactly like GroupKey::Render does for the
-// in-memory executor (dict strings for string columns, decimal otherwise).
-std::string RenderLabel(const MappedTable& mt, const std::vector<size_t>& gcols,
-                        const GroupKey& key) {
-  std::vector<std::string> parts;
-  parts.reserve(key.codes.size());
-  for (size_t i = 0; i < key.codes.size(); ++i) {
-    if (mt.schema().field(gcols[i]).type == DataType::kString) {
-      const auto& dict = mt.dictionary(gcols[i]);
-      const auto code = static_cast<size_t>(key.codes[i]);
-      parts.push_back(code < dict.size()
-                          ? dict[code]
-                          : StrFormat("<%lld>", (long long)key.codes[i]));
-    } else {
-      parts.push_back(StrFormat("%lld", static_cast<long long>(key.codes[i])));
-    }
-  }
-  return Join(parts, "|");
 }
 
 // Query compilation shared by the serial and parallel scans: resolved
@@ -349,15 +327,21 @@ Result<QueryResult> EmitMappedResult(const MappedTable& mt,
   std::vector<std::string> agg_labels;
   agg_labels.reserve(t);
   for (const auto& a : query.aggregates) agg_labels.push_back(a.Label());
+  const KeyDicts dicts =
+      KeyDictsOf(mt.schema(), plan.gcols,
+                 [&](size_t c) -> const std::vector<std::string>& {
+                   return mt.dictionary(c);
+                 });
+  const size_t arity = plan.gcols.size();
   QueryResult result(std::move(agg_labels), query.group_by);
+  std::vector<double> values(t);
   for (size_t g = 0; g < G; ++g) {
     if (acc.cnt[g] == 0) continue;
-    std::vector<double> values(t);
+    const int64_t* key = router.codes().data() + g * arity;
+    std::string label;
+    AppendKeyLabel(key, dicts, &label);
     for (size_t j = 0; j < t; ++j) values[j] = finals[j * G + g];
-    GroupKey key = router.KeyOf(g);
-    std::string label = RenderLabel(mt, plan.gcols, key);
-    CVOPT_RETURN_NOT_OK(
-        result.AddGroup(std::move(key), std::move(label), std::move(values)));
+    result.AddGroup(key, std::move(label), values.data());
   }
   return result;
 }

@@ -70,9 +70,8 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   const bool any_var = !acc.sums2.empty();
 
   // Flat key codes of every finest group (one gather, reused per subset).
-  std::vector<int64_t> codes;
-  codes.reserve(G * k);
-  for (size_t g = 0; g < G; ++g) gidx.AppendKeyCodes(g, &codes);
+  const std::vector<int64_t> codes = gidx.KeyCodes();
+  const KeyDicts finest_dicts = KeyDictsOf(table, gidx.column_indices());
 
   std::vector<std::string> agg_labels;
   agg_labels.reserve(t);
@@ -97,7 +96,6 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
   // parent-keyed accumulators, so the per-set results are the serial
   // rollup bit for bit in any execution order.
   const size_t coarse = specs.size() - 1;
-  std::vector<Status> statuses(specs.size(), Status::OK());
   ParallelForChunks(coarse, coarse, [&](size_t c, size_t, size_t) {
     const size_t si = c + 1;
     const QuerySpec& spec = specs[si];
@@ -109,26 +107,14 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
           std::find(base.group_by.begin(), base.group_by.end(), a);
       positions.push_back(static_cast<size_t>(it - base.group_by.begin()));
     }
-    std::vector<size_t> parent_cols;
-    parent_cols.reserve(positions.size());
-    for (size_t p : positions) {
-      parent_cols.push_back(gidx.column_indices()[p]);
-    }
-
     // Project every finest group onto its subset key. Finest ids are in
-    // first-seen row order, so interning in id order lands the parents in
+    // first-seen row order, so routing in id order lands the parents in
     // exactly ExecuteExact's first-seen order for the subset query.
-    GroupKeyInterner interner(G);
+    StreamGroupRouter router(
+        std::vector<DataType>(positions.size(), DataType::kInt64));
     std::vector<uint32_t> parent_of(G);
-    GroupKey sub;
-    sub.codes.resize(positions.size());
-    for (size_t g = 0; g < G; ++g) {
-      for (size_t j = 0; j < positions.size(); ++j) {
-        sub.codes[j] = codes[g * k + positions[j]];
-      }
-      parent_of[g] = interner.Intern(sub);
-    }
-    const size_t P = interner.size();
+    RouteKeyColumns(codes.data(), G, k, positions, &router, parent_of.data());
+    const size_t P = router.num_groups();
 
     // Roll the finest accumulators up: counts and sums are additive across
     // the strata of a parent; MEDIAN concatenates the per-stratum value
@@ -161,27 +147,23 @@ Result<std::vector<QueryResult>> ExecuteCube(const Table& table,
     const std::vector<double> finals =
         FinalizeGrouped(base.aggregates, &pacc);
 
-    // Emit in parent intern order, skipping parents with no surviving rows
+    // Emit in parent id order, skipping parents with no surviving rows
     // (SQL semantics, matching IngestDense's counts[g] > 0 rule).
+    KeyDicts dicts;
+    for (size_t p : positions) dicts.push_back(finest_dicts[p]);
+    const size_t arity = positions.size();
     QueryResult result(agg_labels, spec.group_by);
-    const std::vector<GroupKey>& parent_keys = interner.keys();
+    std::vector<double> values(t);
     for (size_t p = 0; p < P; ++p) {
       if (pacc.cnt[p] == 0) continue;
-      std::vector<double> values(t);
+      const int64_t* key = router.codes().data() + p * arity;
+      std::string label;
+      AppendKeyLabel(key, dicts, &label);
       for (size_t j = 0; j < t; ++j) values[j] = finals[j * P + p];
-      Status s = result.AddGroup(parent_keys[p],
-                                 parent_keys[p].Render(table, parent_cols),
-                                 std::move(values));
-      if (!s.ok()) {
-        statuses[si] = std::move(s);
-        return;
-      }
+      result.AddGroup(key, std::move(label), values.data());
     }
     results[si] = std::move(result);
   });
-  for (Status& s : statuses) {
-    if (!s.ok()) return std::move(s);
-  }
   return results;
 }
 

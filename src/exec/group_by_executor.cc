@@ -350,8 +350,8 @@ Result<QueryResult> MaterializeGrouped(const QuerySpec& query,
                                        const GroupIndex& gidx,
                                        GroupedAccumulators* acc) {
   // Finalize into an aggregate-major finals array and bulk-ingest: the
-  // result is materialized flat, with batch-rendered labels and a lazy
-  // key -> index map instead of a per-group AddGroup insert loop.
+  // result is materialized flat, keys copied and labels rendered in one
+  // pass over the live groups.
   const std::vector<double> finals = FinalizeGrouped(query.aggregates, acc);
   std::vector<std::string> agg_labels;
   agg_labels.reserve(query.aggregates.size());

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <charconv>
 #include <limits>
 #include <utility>
 
@@ -18,8 +18,8 @@ namespace cvopt {
 namespace {
 
 constexpr uint32_t kEmptyId = std::numeric_limits<uint32_t>::max();
-// Seed of the wide-key composite hash. The offline kWide build, the
-// streaming router, and GroupKeyHash must agree so their buckets coincide.
+// Seed of the wide-key composite hash. The offline kWide build and the
+// streaming router must agree so their buckets coincide.
 constexpr uint64_t kWideHashSeed = 0x2545F4914F6CDD1DULL;
 // Largest dense remap the direct tier may allocate: 2^22 4-byte slots
 // (16 MiB), far above any realistic grouping-key domain but bounded.
@@ -1020,15 +1020,6 @@ Result<GroupIndex> GroupIndex::BuildForRows(const Table& table,
  });
 }
 
-GroupKey GroupIndex::KeyOf(size_t g) const {
-  GroupKey key;
-  key.codes.reserve(cols_.size());
-  for (size_t c : cols_) {
-    key.codes.push_back(table_->column(c).GroupCode(rep_rows_[g]));
-  }
-  return key;
-}
-
 void GroupIndex::AppendKeyCodes(size_t g, std::vector<int64_t>* out) const {
   const uint32_t row = rep_rows_[g];
   for (size_t c : cols_) {
@@ -1036,36 +1027,72 @@ void GroupIndex::AppendKeyCodes(size_t g, std::vector<int64_t>* out) const {
   }
 }
 
-std::vector<GroupKey> GroupIndex::Keys() const {
-  std::vector<GroupKey> keys;
-  keys.reserve(num_groups());
-  for (size_t g = 0; g < num_groups(); ++g) keys.push_back(KeyOf(g));
-  return keys;
+std::vector<int64_t> GroupIndex::KeyCodes() const {
+  std::vector<int64_t> codes;
+  codes.reserve(num_groups() * key_arity());
+  for (size_t g = 0; g < num_groups(); ++g) AppendKeyCodes(g, &codes);
+  return codes;
 }
 
 std::string GroupIndex::Label(size_t g) const {
+  std::vector<int64_t> codes;
+  AppendKeyCodes(g, &codes);
   std::string out;
-  AppendLabel(g, &out);
+  AppendKeyLabel(codes.data(), KeyDictsOf(*table_, cols_), &out);
   return out;
 }
 
-void GroupIndex::AppendLabel(size_t g, std::string* out) const {
-  // Renders identically to GroupKey::Render ("v1|v2|...") but straight from
-  // the representative row, with no GroupKey or parts-vector allocation.
-  const uint32_t row = rep_rows_[g];
-  bool first = true;
-  for (size_t c : cols_) {
-    if (!first) out->push_back('|');
-    first = false;
-    const Column& col = table_->column(c);
-    if (col.type() == DataType::kString) {
-      out->append(col.GetString(row));
-    } else {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(col.GetInt(row)));
-      out->append(buf);
+void RouteKeyColumns(const int64_t* codes, size_t n, size_t stride,
+                     const std::vector<size_t>& positions,
+                     StreamGroupRouter* router, uint32_t* ids) {
+  const size_t m = positions.size();
+  std::vector<int64_t> cols(m * n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < m; ++j) {
+      cols[j * n + i] = codes[i * stride + positions[j]];
     }
+  }
+  std::vector<GroupCodeSpan> spans(m);
+  for (size_t j = 0; j < m; ++j) spans[j].ints = cols.data() + j * n;
+  router->RouteSpans(spans.data(), n, ids);
+}
+
+KeyDicts KeyDictsOf(
+    const Schema& schema, const std::vector<size_t>& cols,
+    const std::function<const std::vector<std::string>&(size_t)>& dictionary) {
+  KeyDicts dicts;
+  dicts.reserve(cols.size());
+  for (size_t c : cols) {
+    dicts.push_back(schema.field(c).type == DataType::kString ? &dictionary(c)
+                                                              : nullptr);
+  }
+  return dicts;
+}
+
+KeyDicts KeyDictsOf(const Table& table, const std::vector<size_t>& cols) {
+  return KeyDictsOf(table.schema(), cols,
+                    [&](size_t c) -> const std::vector<std::string>& {
+                      return table.column(c).dictionary();
+                    });
+}
+
+void AppendKeyLabel(const int64_t* codes, const KeyDicts& dicts,
+                    std::string* out) {
+  for (size_t i = 0; i < dicts.size(); ++i) {
+    if (i > 0) out->push_back('|');
+    const std::vector<std::string>* dict = dicts[i];
+    const bool in_dict =
+        dict != nullptr && codes[i] >= 0 &&
+        static_cast<uint64_t>(codes[i]) < dict->size();
+    if (in_dict) {
+      out->append((*dict)[static_cast<size_t>(codes[i])]);
+      continue;
+    }
+    char buf[24];
+    char* end = std::to_chars(buf, buf + sizeof(buf), codes[i]).ptr;
+    if (dict != nullptr) out->push_back('<');
+    out->append(buf, end);
+    if (dict != nullptr) out->push_back('>');
   }
 }
 
@@ -1463,46 +1490,6 @@ uint32_t StreamGroupRouter::RouteWide(uint32_t row) {
     idx = (idx + 1) & mask_;
   }
   return Insert(idx, h, row);
-}
-
-GroupKey StreamGroupRouter::KeyOf(size_t g) const {
-  GroupKey key;
-  key.codes.assign(codes_.begin() + g * plans_.size(),
-                   codes_.begin() + (g + 1) * plans_.size());
-  return key;
-}
-
-GroupKeyInterner::GroupKeyInterner(size_t expected_keys) {
-  slots_.resize(NextPow2(std::max<size_t>(16, 2 * expected_keys)));
-}
-
-uint32_t GroupKeyInterner::Intern(const GroupKey& key) {
-  const uint64_t h = GroupKeyHash{}(key);
-  const size_t mask = slots_.size() - 1;
-  size_t idx = static_cast<size_t>(h) & mask;
-  while (slots_[idx].id != kEmptyId) {
-    if (slots_[idx].hash == h && keys_[slots_[idx].id] == key) {
-      return slots_[idx].id;
-    }
-    idx = (idx + 1) & mask;
-  }
-  const uint32_t id = static_cast<uint32_t>(keys_.size());
-  slots_[idx] = {h, id};
-  keys_.push_back(key);
-  if (keys_.size() * 10 >= slots_.size() * 7) Grow();
-  return id;
-}
-
-void GroupKeyInterner::Grow() {
-  std::vector<Slot> fresh(slots_.size() * 2);
-  const size_t mask = fresh.size() - 1;
-  for (const Slot& s : slots_) {
-    if (s.id == kEmptyId) continue;
-    size_t idx = static_cast<size_t>(s.hash) & mask;
-    while (fresh[idx].id != kEmptyId) idx = (idx + 1) & mask;
-    fresh[idx] = s;
-  }
-  slots_.swap(fresh);
 }
 
 }  // namespace cvopt

@@ -3,18 +3,22 @@
 // uint32 group id — one id per distinct combination of the grouping
 // attributes, assigned in first-seen row order. The exact executor, the
 // approximate executor, stratification, and workload deduction all consume
-// the row->group mapping and accumulate into flat arrays indexed by group id
-// instead of probing a node-based unordered_map<GroupKey, ...> per row.
+// the row->group mapping and accumulate into flat arrays indexed by group id.
+//
+// Group keys are flat: one int64 code per grouping column (an int column's
+// value, a string column's dictionary code), keys laid out row-major with
+// stride = arity. GroupIndex, StreamGroupRouter, Stratification and
+// QueryResult all hold keys this way, and AppendKeyLabel renders them.
 #ifndef CVOPT_EXEC_GROUP_INDEX_H_
 #define CVOPT_EXEC_GROUP_INDEX_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/exec/parallel.h"
-#include "src/stats/group_key.h"
 #include "src/table/table.h"
 #include "src/util/status.h"
 
@@ -174,22 +178,18 @@ class GroupIndex {
   const std::vector<size_t>& column_indices() const { return cols_; }
   Tier tier() const { return tier_; }
 
-  /// Materializes the composite key of group g from its representative row.
-  GroupKey KeyOf(size_t g) const;
-  std::vector<GroupKey> Keys() const;
-
-  /// Appends group g's key codes (one int64 per grouping column, matching
-  /// KeyOf(g).codes) to *out — the flat-key-store path of
-  /// QueryResult::IngestDense, no per-group GroupKey allocation.
+  /// Appends group g's key codes (one int64 per grouping column, read from
+  /// its representative row) to *out.
   void AppendKeyCodes(size_t g, std::vector<int64_t>* out) const;
+  /// Every group's key codes, row-major in id order.
+  std::vector<int64_t> KeyCodes() const;
   size_t key_arity() const { return cols_.size(); }
+
+  /// The table the index was built over.
+  const Table& table() const { return *table_; }
 
   /// Human-readable label of group g, e.g. "US|pm25".
   std::string Label(size_t g) const;
-
-  /// Appends group g's label to *out without materializing a GroupKey —
-  /// the batch-rendering path of QueryResult::IngestDense.
-  void AppendLabel(size_t g, std::string* out) const;
 
   /// Move-out accessors for callers that keep the mapping (Stratification).
   std::vector<uint32_t> TakeRowGroups() { return std::move(row_groups_); }
@@ -242,17 +242,18 @@ struct GroupCodeSpan {
 /// the base — appear mid-stream (dictionary growth), re-packing the
 /// already-routed groups from their stored codes. Once the packed widths
 /// exceed 64 bits the router switches permanently to the wide tier
-/// (composite hash + stored-code compare). The Route path performs no GroupKey
-/// materialization, per-row code-vector writes, or per-key heap allocation
-/// — this replaces the flat GroupKeyInterner in the streaming CVOPT
-/// sampler's per-row stratum routing.
+/// (composite hash + stored-code compare). The Route path performs no
+/// per-row code-vector writes or per-key heap allocation.
 ///
 /// Two row sources: a Table-bound router (streaming sampler) routes table
-/// rows through Route / RouteBatch; a span-bound router (out-of-core scan)
-/// routes chunks of rows straight from caller-supplied code spans through
-/// RouteSpans, so decoded storage chunks are read in place. Both feed the
-/// same tiers, so a chunked replay of a table's rows assigns the same ids
-/// as Route over those rows.
+/// rows through Route / RouteBatch; a span-bound router routes chunks of
+/// rows straight from caller-supplied code spans through RouteSpans, so
+/// decoded storage chunks (out-of-core scan) or gathered key columns
+/// (stratification projections, cube rollups, result matching) are read in
+/// place. Both feed the same tiers, so a chunked replay of a table's rows
+/// assigns the same ids as Route over those rows. This is the one interner
+/// of flat code arrays: a key set already held as codes is deduplicated by
+/// routing its columns through a span-bound router declared all-int64.
 class StreamGroupRouter {
  public:
   /// `cols` are grouping column indices in `table` (int64 or string; an
@@ -294,9 +295,10 @@ class StreamGroupRouter {
   /// tier; true while keys still bit-pack into one word.
   bool packed() const { return !wide_; }
 
-  /// Materializes the composite key of group g (codes match
-  /// GroupIndex::KeyOf over the same columns).
-  GroupKey KeyOf(size_t g) const;
+  /// Every group's raw codes, row-major: group g's key is
+  /// codes()[g * arity() .. (g + 1) * arity()), the codes GroupIndex
+  /// gathers for the same columns.
+  const std::vector<int64_t>& codes() const { return codes_; }
 
  private:
   struct ColPlan {
@@ -366,33 +368,35 @@ class StreamGroupRouter {
   size_t groups_ = 0;
 };
 
-/// Assigns dense ids to GroupKeys via a flat open-addressing table (hash +
-/// full-key compare, linear probing). For per-stratum-scale key sets where
-/// the keys already exist as GroupKey objects: stratification projections.
-/// Ids are assigned sequentially from 0 in
-/// first-Intern order, so `Intern(k) == size()-before` detects a new key.
-class GroupKeyInterner {
- public:
-  explicit GroupKeyInterner(size_t expected_keys = 0);
+/// Routes n flat keys through a span-bound router declared all-int64 with
+/// positions.size() columns: key i is row i of the row-major code array
+/// `codes` (stride `stride`), projected onto the columns `positions`.
+/// ids[i] receives its dense id, so keys are deduplicated in first-seen
+/// order and router->codes() holds the distinct projected keys.
+void RouteKeyColumns(const int64_t* codes, size_t n, size_t stride,
+                     const std::vector<size_t>& positions,
+                     StreamGroupRouter* router, uint32_t* ids);
 
-  /// Id of `key`, assigning the next dense id on first sight.
-  uint32_t Intern(const GroupKey& key);
+/// Per-column dictionaries of a flat key: the column's string dictionary,
+/// or null for an int64 column.
+using KeyDicts = std::vector<const std::vector<std::string>*>;
 
-  size_t size() const { return keys_.size(); }
-  const std::vector<GroupKey>& keys() const { return keys_; }
-  std::vector<GroupKey> TakeKeys() { return std::move(keys_); }
+/// The dictionaries of `cols` of a table with `schema`: dictionary(c) for a
+/// string column, null for an int64 column. The one place that decides which
+/// key columns render through a dictionary.
+KeyDicts KeyDictsOf(
+    const Schema& schema, const std::vector<size_t>& cols,
+    const std::function<const std::vector<std::string>&(size_t)>& dictionary);
 
- private:
-  struct Slot {
-    uint64_t hash = 0;
-    uint32_t id = UINT32_MAX;  // UINT32_MAX marks an empty slot
-  };
+/// The dictionaries of `cols` in `table`.
+KeyDicts KeyDictsOf(const Table& table, const std::vector<size_t>& cols);
 
-  void Grow();
-
-  std::vector<Slot> slots_;  // power-of-two size
-  std::vector<GroupKey> keys_;
-};
+/// Appends the label of one flat key of dicts.size() codes to *out:
+/// "v1|v2|...", dictionary strings for string columns (a code outside the
+/// dictionary renders as "<code>") and decimal values for int columns. The
+/// one label renderer of every result and stratum.
+void AppendKeyLabel(const int64_t* codes, const KeyDicts& dicts,
+                    std::string* out);
 
 }  // namespace cvopt
 

@@ -1,49 +1,16 @@
 #include "src/exec/query_result.h"
 
+#include <algorithm>
+
 #include "src/util/string_util.h"
 
 namespace cvopt {
 
-void QueryResult::EnsureKeys() const {
-  if (!keys_stale_) return;  // AddGroup keeps the shim current itself
-  keys_.clear();
-  keys_.reserve(num_groups());
-  for (size_t i = 0; i < num_groups(); ++i) {
-    GroupKey k;
-    k.codes.assign(key_codes_.begin() + key_offsets_[i],
-                   key_codes_.begin() + key_offsets_[i + 1]);
-    keys_.push_back(std::move(k));
-  }
-  keys_stale_ = false;
-}
-
-void QueryResult::EnsureIndex() const {
-  if (!index_stale_) return;  // AddGroup maintains the index incrementally
-  EnsureKeys();
-  index_.clear();
-  index_.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) index_.emplace(keys_[i], i);
-  index_stale_ = false;
-}
-
-Status QueryResult::AddGroup(GroupKey key, std::string label,
-                             std::vector<double> values) {
-  if (values.size() != agg_labels_.size()) {
-    return Status::InvalidArgument(
-        StrFormat("group has %zu values, expected %zu aggregates",
-                  values.size(), agg_labels_.size()));
-  }
-  EnsureIndex();
-  auto [it, inserted] = index_.try_emplace(key, num_groups());
-  if (!inserted) {
-    return Status::AlreadyExists("duplicate group key '" + label + "'");
-  }
-  key_codes_.insert(key_codes_.end(), key.codes.begin(), key.codes.end());
-  key_offsets_.push_back(key_codes_.size());
-  keys_.push_back(std::move(key));  // EnsureIndex left the shim current
+void QueryResult::AddGroup(const int64_t* codes, std::string label,
+                           const double* values) {
+  key_codes_.insert(key_codes_.end(), codes, codes + group_attrs_.size());
   labels_.push_back(std::move(label));
-  values_.insert(values_.end(), values.begin(), values.end());
-  return Status::OK();
+  values_.insert(values_.end(), values, values + agg_labels_.size());
 }
 
 Status QueryResult::IngestDense(const GroupIndex& gidx,
@@ -51,52 +18,30 @@ Status QueryResult::IngestDense(const GroupIndex& gidx,
                                 const std::vector<double>& finals) {
   const size_t t = agg_labels_.size();
   const size_t G = gidx.num_groups();
-  if (counts.size() != G || finals.size() != t * G) {
+  if (counts.size() != G || finals.size() != t * G ||
+      gidx.key_arity() != group_attrs_.size()) {
     return Status::InvalidArgument(
-        StrFormat("IngestDense: %zu groups, %zu counts, %zu finals for %zu "
-                  "aggregates",
-                  G, counts.size(), finals.size(), t));
-  }
-  // Into a non-empty result, reject key collisions up front (the executors
-  // always ingest into a fresh result, where gidx ids are unique).
-  if (num_groups() > 0) {
-    EnsureIndex();
-    for (size_t g = 0; g < G; ++g) {
-      if (counts[g] > 0 && index_.count(gidx.KeyOf(g)) > 0) {
-        return Status::AlreadyExists("duplicate group key '" +
-                                     gidx.Label(g) + "'");
-      }
-    }
+        StrFormat("IngestDense: %zu groups of arity %zu, %zu counts, %zu "
+                  "finals for %zu aggregates over %zu attributes",
+                  G, gidx.key_arity(), counts.size(), finals.size(), t,
+                  group_attrs_.size()));
   }
   size_t live = 0;
   for (size_t g = 0; g < G; ++g) live += counts[g] > 0 ? 1 : 0;
   const size_t arity = gidx.key_arity();
+  const KeyDicts dicts = KeyDictsOf(gidx.table(), gidx.column_indices());
   key_codes_.reserve(key_codes_.size() + live * arity);
-  key_offsets_.reserve(key_offsets_.size() + live);
   labels_.reserve(labels_.size() + live);
   values_.reserve(values_.size() + live * t);
   for (size_t g = 0; g < G; ++g) {
     if (counts[g] == 0) continue;  // no surviving rows: group absent
+    const size_t at = key_codes_.size();
     gidx.AppendKeyCodes(g, &key_codes_);
-    key_offsets_.push_back(key_codes_.size());
     labels_.emplace_back();
-    gidx.AppendLabel(g, &labels_.back());
+    AppendKeyLabel(key_codes_.data() + at, dicts, &labels_.back());
     for (size_t j = 0; j < t; ++j) values_.push_back(finals[j * G + g]);
   }
-  // The key shim and index are stale now; the first key()/keys()/Find()
-  // rebuilds them once.
-  keys_.clear();
-  keys_stale_ = true;
-  index_.clear();
-  index_stale_ = true;
   return Status::OK();
-}
-
-std::optional<size_t> QueryResult::Find(const GroupKey& key) const {
-  EnsureIndex();
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
 }
 
 std::optional<size_t> QueryResult::FindByLabel(const std::string& label) const {
@@ -119,6 +64,31 @@ std::string QueryResult::ToString(size_t max_groups) const {
   }
   if (n < num_groups()) {
     out += StrFormat("  ... (%zu more)\n", num_groups() - n);
+  }
+  return out;
+}
+
+std::vector<std::optional<size_t>> MatchGroups(const QueryResult& a,
+                                               const QueryResult& b) {
+  std::vector<std::optional<size_t>> out(a.num_groups());
+  const size_t arity = a.group_attrs().size();
+  if (arity != b.group_attrs().size()) return out;
+  // b's keys are distinct, so routing them first gives b's group i the id
+  // i; an a key whose id falls below b.num_groups() is therefore b's group
+  // of that id, and any later id is a key b does not hold.
+  StreamGroupRouter router(std::vector<DataType>(arity, DataType::kInt64),
+                           b.num_groups());
+  std::vector<size_t> positions(arity);
+  for (size_t j = 0; j < arity; ++j) positions[j] = j;
+  std::vector<uint32_t> ids(std::max(a.num_groups(), b.num_groups()));
+  RouteKeyColumns(b.key_codes(0), b.num_groups(), arity, positions, &router,
+                  ids.data());
+  CVOPT_CHECK(router.num_groups() == b.num_groups(),
+              "MatchGroups: the second result holds a repeated group key");
+  RouteKeyColumns(a.key_codes(0), a.num_groups(), arity, positions, &router,
+                  ids.data());
+  for (size_t i = 0; i < a.num_groups(); ++i) {
+    if (ids[i] < b.num_groups()) out[i] = ids[i];
   }
   return out;
 }

@@ -6,52 +6,46 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/exec/group_index.h"
-#include "src/stats/group_key.h"
 #include "src/util/status.h"
 
 namespace cvopt {
 
-/// Answer of one group-by query: an ordered list of groups, each with one
-/// value per aggregate.
+/// Answer of one group-by query: an ordered list of groups, each with a
+/// flat key, a rendered label and one value per aggregate.
 ///
-/// Values live in one flat row-major array (stride = number of aggregates)
-/// and group keys live in a flat SoA code store (one int64 per key column,
-/// ragged offsets), so the bulk ingest path appends many-group results with
-/// no per-group heap allocation at all. GroupKey objects and the
-/// key -> index map are compatibility shims materialized lazily on first
-/// key() / keys() / Find().
+/// Keys live in one flat row-major code array (stride = key arity =
+/// group_attrs().size(), one int64 per grouping attribute as in
+/// group_index.h) and values in another (stride = number of aggregates),
+/// so many-group results are appended with no per-group heap allocation
+/// beyond the label.
 ///
-/// Thread-safety: the lazy shims mutate internal state on first access, so
-/// even the const accessors are NOT safe for concurrent first reads. A
-/// QueryResult is a per-query value object; to share one across threads
-/// read-only, call keys() (or Find()) once beforehand to force
-/// materialization, or use label()/value()/key_codes(), which never
-/// mutate.
+/// A QueryResult is a value: it is filled once through IngestDense /
+/// AddGroup and then only read. It holds no lazy or mutable state, so
+/// concurrent reads through the const accessors are safe. Keys within one
+/// result are distinct; the builders rely on their callers for that
+/// (every engine path emits one group per dense id) and do not check it.
+/// Results are aligned by key with MatchGroups.
 class QueryResult {
  public:
   QueryResult() = default;
   QueryResult(std::vector<std::string> agg_labels,
-              std::vector<std::string> group_labels_attrs)
+              std::vector<std::string> group_attrs)
       : agg_labels_(std::move(agg_labels)),
-        group_attrs_(std::move(group_labels_attrs)) {}
+        group_attrs_(std::move(group_attrs)) {}
 
-  /// Adds a group; key must be new. `label` is the rendered group key.
-  Status AddGroup(GroupKey key, std::string label, std::vector<double> values);
+  /// Appends one group: key_arity() key codes, its rendered label and
+  /// num_aggregates() values.
+  void AddGroup(const int64_t* codes, std::string label, const double* values);
 
   /// Bulk-ingests the dense-id pipeline's output: one result group per
-  /// index g with counts[g] > 0, labels rendered in batch and key codes
-  /// copied flat from `gidx` (no GroupKey materialization), and values
-  /// gathered from the aggregate-major accumulator array finals[j * G + g]
-  /// (G = gidx.num_groups(), j < num_aggregates()).
-  /// Into an empty result (the executors' path) the GroupIndex's ids are
-  /// distinct by construction, so nothing is hashed and both the GroupKey
-  /// vector and the index stay lazy; into a non-empty result the incoming
-  /// keys are checked against the existing ones first (AlreadyExists on
-  /// collision, nothing ingested).
+  /// index g with counts[g] > 0, in id order, with key codes copied flat
+  /// from `gidx`, labels rendered by AppendKeyLabel, and values gathered
+  /// from the aggregate-major accumulator array finals[j * G + g]
+  /// (G = gidx.num_groups(), j < num_aggregates()). The index must group
+  /// by group_attrs().
   Status IngestDense(const GroupIndex& gidx,
                      const std::vector<uint64_t>& counts,
                      const std::vector<double>& finals);
@@ -59,24 +53,12 @@ class QueryResult {
   size_t num_groups() const { return labels_.size(); }
   size_t num_aggregates() const { return agg_labels_.size(); }
 
-  /// Group i's key, materialized lazily from the flat code store (the
-  /// compatibility shim over the SoA representation).
-  const GroupKey& key(size_t i) const {
-    EnsureKeys();
-    return keys_[i];
-  }
-  /// All keys, materialized lazily (compatibility shim).
-  const std::vector<GroupKey>& keys() const {
-    EnsureKeys();
-    return keys_;
-  }
-  /// Group i's raw key codes — the allocation-free view of the flat store.
+  /// Group i's key codes: key_arity(i) of them.
   const int64_t* key_codes(size_t i) const {
-    return key_codes_.data() + key_offsets_[i];
+    return key_codes_.data() + i * group_attrs_.size();
   }
-  size_t key_arity(size_t i) const {
-    return key_offsets_[i + 1] - key_offsets_[i];
-  }
+  /// Codes per key: the same for every group (the grouping arity).
+  size_t key_arity(size_t /*i*/) const { return group_attrs_.size(); }
 
   const std::string& label(size_t i) const { return labels_[i]; }
   /// Copy of group i's aggregate values (row slice of the flat array).
@@ -92,36 +74,26 @@ class QueryResult {
   const std::vector<std::string>& agg_labels() const { return agg_labels_; }
   const std::vector<std::string>& group_attrs() const { return group_attrs_; }
 
-  /// Index of a group by key, if present.
-  std::optional<size_t> Find(const GroupKey& key) const;
-
   /// Index of a group by its rendered label, if present (tests/examples).
   std::optional<size_t> FindByLabel(const std::string& label) const;
 
   std::string ToString(size_t max_groups = 20) const;
 
  private:
-  // Materializes the GroupKey vector from the flat code store if stale.
-  void EnsureKeys() const;
-  // Builds the key -> index map if it is stale (lazy after IngestDense).
-  void EnsureIndex() const;
-
   std::vector<std::string> agg_labels_;
   std::vector<std::string> group_attrs_;
   std::vector<std::string> labels_;
-  std::vector<double> values_;  // row-major, stride = agg_labels_.size()
-
-  // Flat SoA key store: group i's codes are
-  // key_codes_[key_offsets_[i] .. key_offsets_[i + 1]).
-  std::vector<int64_t> key_codes_;
-  std::vector<size_t> key_offsets_{0};
-
-  // Lazy compatibility shims over the flat store.
-  mutable std::vector<GroupKey> keys_;
-  mutable bool keys_stale_ = false;  // set by IngestDense, cleared on rebuild
-  mutable std::unordered_map<GroupKey, size_t, GroupKeyHash> index_;
-  mutable bool index_stale_ = false;  // set by IngestDense, cleared on rebuild
+  std::vector<int64_t> key_codes_;  // row-major, stride = group_attrs_.size()
+  std::vector<double> values_;      // row-major, stride = agg_labels_.size()
 };
+
+/// Aligns two results by key: entry i is the index in `b` of the group of
+/// `a` with a's i-th key, or nullopt when `b` has no such group (always so
+/// when the key arities differ). Key codes are compared verbatim, so both
+/// results must draw their string codes from the same dictionaries. Aborts
+/// when `b` holds a repeated key, which no engine result does.
+std::vector<std::optional<size_t>> MatchGroups(const QueryResult& a,
+                                               const QueryResult& b);
 
 }  // namespace cvopt
 

@@ -13,14 +13,14 @@ Result<QueryResult> JoinResults(
     return Status::InvalidArgument("output label count mismatch");
   }
   QueryResult out(out_agg_labels, a.group_attrs());
+  const std::vector<std::optional<size_t>> match = MatchGroups(a, b);
+  std::vector<double> vals(a.num_aggregates());
   for (size_t i = 0; i < a.num_groups(); ++i) {
-    auto j = b.Find(a.key(i));
-    if (!j.has_value()) continue;
-    std::vector<double> vals(a.num_aggregates());
+    if (!match[i].has_value()) continue;
     for (size_t t = 0; t < vals.size(); ++t) {
-      vals[t] = combine(a.value(i, t), b.value(*j, t));
+      vals[t] = combine(a.value(i, t), b.value(*match[i], t));
     }
-    CVOPT_RETURN_NOT_OK(out.AddGroup(a.key(i), a.label(i), std::move(vals)));
+    out.AddGroup(a.key_codes(i), a.label(i), vals.data());
   }
   return out;
 }

@@ -91,7 +91,7 @@ class StreamingCvoptBuilder {
   uint64_t rows_seen_ = 0;
   // Packed dense-id stratum router (GroupIndex's packed/wide tiers, grown
   // incrementally): one code load + pack + probe per offered row, no
-  // GroupKey materialization or per-row code-vector writes.
+  // per-row key or code-vector writes.
   StreamGroupRouter router_;
   std::vector<Stratum> strata_;
 };

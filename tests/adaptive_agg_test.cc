@@ -22,12 +22,6 @@
 namespace cvopt {
 namespace {
 
-class ScopedAggPath {
- public:
-  explicit ScopedAggPath(int mode) { SetAggPathOverrideForTesting(mode); }
-  ~ScopedAggPath() { SetAggPathOverrideForTesting(-1); }
-};
-
 enum class Tier { kDirect, kPacked, kWide };
 
 const char* TierName(Tier t) {

@@ -180,9 +180,11 @@ TEST(AllocatorTest, GroupWeightFnPrioritizesGroups) {
   // the low-variance group.
   ASSERT_OK_AND_ASSIGN(Stratification probe, Stratification::Build(t, {"g"}));
   ASSERT_OK_AND_ASSIGN(size_t gcol, t.ColumnIndex("g"));
-  opts.group_weight_fn = [&t, gcol](size_t, const GroupKey& key,
+  opts.group_weight_fn = [&t, gcol](size_t, const int64_t* key,
                                     size_t) -> double {
-    return key.Render(t, {gcol}) == "hi_var" ? 0.0 : 1.0;
+    std::string label;
+    AppendKeyLabel(key, KeyDictsOf(t, {gcol}), &label);
+    return label == "hi_var" ? 0.0 : 1.0;
   };
   ASSERT_OK_AND_ASSIGN(AllocationPlan plan,
                        PlanCvoptAllocation(t, {Sasg("g", "v")}, 200, opts));

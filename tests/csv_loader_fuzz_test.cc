@@ -60,6 +60,9 @@ std::vector<CsvCase> Corpus() {
       {"1,x\n\n2,y\n", Schema({{"a", DataType::kInt64},
                                  {"b", DataType::kString}}),
        NoHeader()},
+      // Quoted line breaks (\n and \r\n) inside string fields.
+      {"name,age,score\n\"two\nlines\",1,2\n\"crlf\r\nx\",3,4.5\n",
+       Typed(), {}},
       // A custom delimiter, and inference from only the first two rows.
       {"k;v\n1;2.5\n2;3\n3;4\n", Schema({{"k", DataType::kInt64},
                                           {"v", DataType::kDouble}}),

@@ -53,6 +53,67 @@ TEST(CsvLoaderTest, QuotedFieldsAndEscapes) {
   EXPECT_EQ(a->GetString(1), "say \"hi\"");
 }
 
+// RFC 4180: a quoted field may hold line breaks, \n or \r\n, which are
+// kept verbatim; error messages still count physical lines.
+TEST(CsvLoaderTest, QuotedNewlines) {
+  const Schema one({{"a", DataType::kString}});
+  ASSERT_OK_AND_ASSIGN(Table t, TableFromCsv("a\n\"x\ny\"\n", one));
+  ASSERT_EQ(t.num_rows(), 1u);
+  EXPECT_EQ(t.column(0).GetString(0), "x\ny");
+
+  const Schema two({{"s", DataType::kString}, {"n", DataType::kInt64}});
+  ASSERT_OK_AND_ASSIGN(
+      Table crlf, TableFromCsv("s,n\r\n\"p\r\nq\",1\r\nr,2\r\n", two));
+  ASSERT_EQ(crlf.num_rows(), 2u);
+  EXPECT_EQ(crlf.column(0).GetString(0), "p\r\nq");
+  EXPECT_EQ(crlf.column(0).GetString(1), "r");
+  EXPECT_EQ(crlf.column(1).GetInt(1), 2);
+
+  ASSERT_OK_AND_ASSIGN(Table inferred,
+                       TableFromCsvInferred("s,n\n\"a\n\nb\",1\nc,2\n"));
+  EXPECT_EQ(inferred.schema().field(0).type, DataType::kString);
+  EXPECT_EQ(inferred.schema().field(1).type, DataType::kInt64);
+  EXPECT_EQ(inferred.column(0).GetString(0), "a\n\nb");
+
+  // The record after a three-line field starts on physical line 5.
+  const Result<Table> bad = TableFromCsv("s,n\n\"a\n\nb\",1\nc,x\n", two);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("line 5 col 2"), std::string::npos)
+      << bad.status().ToString();
+  const Result<Table> open = TableFromCsv("s,n\nz,1\n\"a\nb,2\n", two);
+  ASSERT_FALSE(open.ok());
+  EXPECT_NE(open.status().ToString().find("unterminated quote on line 3"),
+            std::string::npos)
+      << open.status().ToString();
+}
+
+// strtoll / strtod skip leading blanks; trailing spaces and tabs load too,
+// for both numeric types and for type inference.
+TEST(CsvLoaderTest, NumbersAcceptSurroundingBlanks) {
+  const Schema s({{"n", DataType::kInt64}, {"d", DataType::kDouble}});
+  ASSERT_OK_AND_ASSIGN(Table t,
+                       TableFromCsv("n,d\n 1,2.5 \n3 ,\t4\t\n 5 , 6 \n", s));
+  ASSERT_EQ(t.num_rows(), 3u);
+  EXPECT_EQ(t.column(0).GetInt(0), 1);
+  EXPECT_EQ(t.column(0).GetInt(1), 3);
+  EXPECT_EQ(t.column(0).GetInt(2), 5);
+  EXPECT_DOUBLE_EQ(t.column(1).GetDouble(0), 2.5);
+  EXPECT_DOUBLE_EQ(t.column(1).GetDouble(1), 4.0);
+  EXPECT_DOUBLE_EQ(t.column(1).GetDouble(2), 6.0);
+
+  ASSERT_OK_AND_ASSIGN(Table inferred,
+                       TableFromCsvInferred("n,d\n1 ,2.5 \n 2, 3.5\n"));
+  EXPECT_EQ(inferred.schema().field(0).type, DataType::kInt64);
+  EXPECT_EQ(inferred.schema().field(1).type, DataType::kDouble);
+
+  // Blanks alone, or inside the number, are still no number.
+  EXPECT_FALSE(TableFromCsv("n,d\n ,1\n", s).ok());
+  EXPECT_FALSE(TableFromCsv("n,d\n1 2,1\n", s).ok());
+  EXPECT_FALSE(TableFromCsv("n,d\n1,1 .5\n", s).ok());
+  ASSERT_OK_AND_ASSIGN(Table blanks, TableFromCsvInferred("v\n 7 x\n"));
+  EXPECT_EQ(blanks.schema().field(0).type, DataType::kString);
+}
+
 TEST(CsvLoaderTest, CrlfAndTrailingNewlines) {
   const char* csv = "a\r\n1\r\n2\r\n";
   ASSERT_OK_AND_ASSIGN(Table t,

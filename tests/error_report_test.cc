@@ -10,7 +10,7 @@ namespace {
 QueryResult MakeResult(std::vector<std::pair<int64_t, double>> groups) {
   QueryResult r({"v"}, {"g"});
   for (const auto& [k, v] : groups) {
-    EXPECT_OK(r.AddGroup(GroupKey{{k}}, std::to_string(k), {v}));
+    r.AddGroup(&k, std::to_string(k), &v);
   }
   return r;
 }

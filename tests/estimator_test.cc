@@ -38,8 +38,9 @@ TEST(ApproxExecutorTest, FullBudgetSampleIsExact) {
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, AvgV()));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, AvgV()));
   ASSERT_EQ(approx.num_groups(), exact.num_groups());
+  const auto match = MatchGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = match[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0),
                 1e-9 * std::fabs(exact.value(i, 0)));
@@ -56,8 +57,9 @@ TEST(ApproxExecutorTest, CountAndSumScaleUp) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, 150, &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto match = MatchGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = match[i];
     ASSERT_TRUE(j.has_value()) << exact.label(i);
     // COUNT from a stratified sample on the grouping attrs is exact: the
     // HT weights per stratum sum to n_c.
@@ -81,8 +83,9 @@ TEST(ApproxExecutorTest, UnbiasedOverRepetitions) {
   for (int rep = 0; rep < reps; ++rep) {
     ASSERT_OK_AND_ASSIGN(StratifiedSample s, uniform.Build(t, {}, 120, &rng));
     ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, AvgV()));
+    const auto match = MatchGroups(exact, approx);
     for (size_t i = 0; i < exact.num_groups(); ++i) {
-      auto j = approx.Find(exact.key(i));
+      const auto j = match[i];
       if (j.has_value()) {
         acc[i] += approx.value(*j, 0);
         seen[i]++;
@@ -112,8 +115,9 @@ TEST(ApproxExecutorTest, RuntimePredicateOnSample) {
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, pred_q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, pred_q));
   ASSERT_EQ(approx.num_groups(), exact.num_groups());  // CS and Math only
+  const auto match = MatchGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = match[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0), 1e-9);
   }
@@ -148,8 +152,9 @@ TEST(ApproxExecutorTest, CountIfEstimate) {
   ASSERT_OK_AND_ASSIGN(StratifiedSample s, cvopt.Build(t, {q}, t.num_rows(), &rng));
   ASSERT_OK_AND_ASSIGN(QueryResult approx, ExecuteApprox(s, q));
   ASSERT_OK_AND_ASSIGN(QueryResult exact, ExecuteExact(t, q));
+  const auto match = MatchGroups(exact, approx);
   for (size_t i = 0; i < exact.num_groups(); ++i) {
-    auto j = approx.Find(exact.key(i));
+    const auto j = match[i];
     ASSERT_TRUE(j.has_value());
     EXPECT_NEAR(approx.value(*j, 0), exact.value(i, 0), 1e-9);
   }
@@ -272,12 +277,8 @@ TEST(ApproxIndexCacheTest, RegroupingGetsItsOwnEntry) {
 // setting changed under an entry built with the previous one.
 TEST(ApproxIndexCacheTest, CachedMatchesUncachedUnderEveryBuildSetting) {
   const StratifiedSample s = OpenAqSample();
-  struct AggPathScope {
-    explicit AggPathScope(int mode) { SetAggPathOverrideForTesting(mode); }
-    ~AggPathScope() { SetAggPathOverrideForTesting(-1); }
-  };
   for (int agg_path : {-1, 1}) {
-    AggPathScope path(agg_path);
+    ScopedAggPath path(agg_path);
     for (int radix : {-1, 0, 1}) {
       ScopedRadixOverride force(radix);
       for (int threads : {1, 2, 3, 8}) {
@@ -501,13 +502,19 @@ void ExpectMatchesReference(const StratifiedSample& s, const QuerySpec& q) {
   const auto ref = SerialApproxReference(s, q);
   ASSERT_OK_AND_ASSIGN(QueryResult got, ExecuteApprox(s, q));
   ASSERT_EQ(got.num_groups(), ref.size());
-  for (const auto& [codes, values] : ref) {
-    const auto i = got.Find(GroupKey{codes});
-    ASSERT_TRUE(i.has_value());
+  std::map<std::vector<int64_t>, size_t> index;
+  for (size_t i = 0; i < got.num_groups(); ++i) {
+    ASSERT_TRUE(index.emplace(KeyCodes(got, i), i).second)
+        << "repeated group " << got.label(i);
+  }
+  for (const auto& [key, values] : ref) {
+    const auto it = index.find(key);
+    ASSERT_NE(it, index.end()) << "missing reference group";
+    const size_t i = it->second;
     for (size_t j = 0; j < values.size(); ++j) {
-      const double x = got.value(*i, j);
+      const double x = got.value(i, j);
       EXPECT_EQ(std::memcmp(&x, &values[j], sizeof(double)), 0)
-          << got.label(*i) << " " << q.aggregates[j].Label() << ": " << x
+          << got.label(i) << " " << q.aggregates[j].Label() << ": " << x
           << " vs " << values[j];
     }
   }

@@ -114,11 +114,87 @@ TEST(ExecuteExactTest, ErrorsOnBadQuery) {
   EXPECT_FALSE(ExecuteExact(t, bad_group).ok());
 }
 
-TEST(QueryResultTest, DuplicateGroupRejected) {
-  QueryResult r({"COUNT(*)"}, {"g"});
-  ASSERT_OK(r.AddGroup(GroupKey{{1}}, "1", {2.0}));
-  EXPECT_FALSE(r.AddGroup(GroupKey{{1}}, "1", {3.0}).ok());
-  EXPECT_FALSE(r.AddGroup(GroupKey{{2}}, "2", {1.0, 2.0}).ok());  // width
+TEST(QueryResultTest, AddGroupAppendsFixedStrideKeys) {
+  QueryResult r({"SUM(v)", "COUNT(*)"}, {"g", "h"});
+  const int64_t k0[] = {1, -5}, k1[] = {2, 7};
+  const double v0[] = {2.0, 3.0}, v1[] = {4.0, 5.0};
+  r.AddGroup(k0, "1|-5", v0);
+  r.AddGroup(k1, "2|7", v1);
+  ASSERT_EQ(r.num_groups(), 2u);
+  EXPECT_EQ(r.key_arity(1), 2u);
+  EXPECT_EQ(KeyCodes(r, 0), (std::vector<int64_t>{1, -5}));
+  EXPECT_EQ(KeyCodes(r, 1), (std::vector<int64_t>{2, 7}));
+  EXPECT_EQ(r.label(1), "2|7");
+  EXPECT_EQ(r.values(1), (std::vector<double>{4.0, 5.0}));
+  EXPECT_EQ(r.FindByLabel("1|-5"), std::make_optional<size_t>(0));
+}
+
+// Results built by hand over (string code, int) keys: b holds a's groups in
+// another order, misses one, and adds one a lacks. Keys differing in only
+// one column must not match.
+TEST(MatchGroupsTest, MixedKeysInDifferentOrdersWithMissingGroups) {
+  const std::vector<std::vector<int64_t>> a_keys = {
+      {0, 25}, {1, 22}, {2, -7}, {0, 22}};
+  const std::vector<std::vector<int64_t>> b_keys = {
+      {2, -7}, {1, 25}, {0, 25}, {0, 22}, {3, 1}};
+  QueryResult a({"v"}, {"major", "age"}), b({"v"}, {"major", "age"});
+  const double v = 1.0;
+  for (const auto& k : a_keys) a.AddGroup(k.data(), "", &v);
+  for (const auto& k : b_keys) b.AddGroup(k.data(), "", &v);
+  EXPECT_EQ(MatchGroups(a, b),
+            (std::vector<std::optional<size_t>>{2, std::nullopt, 0, 3}));
+  EXPECT_EQ(MatchGroups(b, a), (std::vector<std::optional<size_t>>{
+                                   2, std::nullopt, 0, 3, std::nullopt}));
+  EXPECT_TRUE(MatchGroups(a, QueryResult({"v"}, {"major", "age"})) ==
+              std::vector<std::optional<size_t>>(4, std::nullopt));
+  EXPECT_TRUE(MatchGroups(QueryResult({"v"}, {"major", "age"}), a).empty());
+}
+
+// Engine results over a string and an int column: a filtered result's
+// groups are found in the unfiltered one at the groups with equal labels.
+TEST(MatchGroupsTest, AlignsEngineResultsByKey) {
+  Table t = MakeStudentTable();
+  QuerySpec q;
+  q.group_by = {"college", "age"};
+  q.aggregates = {AggSpec::Count()};
+  ASSERT_OK_AND_ASSIGN(QueryResult all, ExecuteExact(t, q));
+  q.where = Predicate::Compare("sat", CompareOp::kLt, 1250);
+  ASSERT_OK_AND_ASSIGN(QueryResult some, ExecuteExact(t, q));
+  ASSERT_LT(some.num_groups(), all.num_groups());
+  const auto match = MatchGroups(some, all);
+  for (size_t i = 0; i < some.num_groups(); ++i) {
+    ASSERT_TRUE(match[i].has_value()) << some.label(i);
+    EXPECT_EQ(all.label(*match[i]), some.label(i));
+  }
+  const auto back = MatchGroups(all, some);
+  size_t found = 0;
+  for (size_t i = 0; i < all.num_groups(); ++i) {
+    if (!back[i].has_value()) continue;
+    EXPECT_EQ(some.label(*back[i]), all.label(i));
+    ++found;
+  }
+  EXPECT_EQ(found, some.num_groups());
+}
+
+TEST(MatchGroupsTest, ArityZeroAndArityMismatch) {
+  const double v = 3.0;
+  QueryResult one({"v"}, {}), other({"v"}, {}), none({"v"}, {});
+  one.AddGroup(nullptr, "", &v);
+  other.AddGroup(nullptr, "", &v);
+  EXPECT_EQ(MatchGroups(one, other),
+            (std::vector<std::optional<size_t>>{0}));
+  EXPECT_EQ(MatchGroups(one, none),
+            (std::vector<std::optional<size_t>>{std::nullopt}));
+  EXPECT_TRUE(MatchGroups(none, one).empty());
+  // Keys of different arity never match, even over equal leading codes.
+  QueryResult a1({"v"}, {"g"}), a2({"v"}, {"g", "h"});
+  const int64_t k1[] = {4}, k2[] = {4, 4};
+  a1.AddGroup(k1, "4", &v);
+  a2.AddGroup(k2, "4|4", &v);
+  EXPECT_EQ(MatchGroups(a1, a2),
+            (std::vector<std::optional<size_t>>{std::nullopt}));
+  EXPECT_EQ(MatchGroups(one, a1),
+            (std::vector<std::optional<size_t>>{std::nullopt}));
 }
 
 TEST(QuerySpecTest, ToStringRendersSql) {
@@ -184,9 +260,11 @@ TEST(ResultJoinTest, DiffMatchesAq1Shape) {
 
 TEST(ResultJoinTest, CustomCombine) {
   QueryResult a({"v"}, {"g"}), b({"v"}, {"g"});
-  ASSERT_OK(a.AddGroup(GroupKey{{1}}, "1", {10.0}));
-  ASSERT_OK(a.AddGroup(GroupKey{{2}}, "2", {20.0}));
-  ASSERT_OK(b.AddGroup(GroupKey{{1}}, "1", {4.0}));
+  const int64_t k1 = 1, k2 = 2;
+  const double v10 = 10.0, v20 = 20.0, v4 = 4.0;
+  a.AddGroup(&k1, "1", &v10);
+  a.AddGroup(&k2, "2", &v20);
+  b.AddGroup(&k1, "1", &v4);
   ASSERT_OK_AND_ASSIGN(
       QueryResult ratio,
       JoinResults(a, b, [](double x, double y) { return x / y; }, {"ratio"}));

@@ -1,13 +1,14 @@
 // Unit tests for the shared dense group-id pipeline: all three build tiers
 // (direct remap, packed flat-hash, wide-key fallback), subset builds, the
-// Resolve validation helper, and the GroupKeyInterner — plus a differential
-// test against a naive unordered_map reference over randomized tables.
+// Resolve validation helper, and RouteKeyColumns and AppendKeyLabel over
+// flat keys — plus a differential test against a naive std::map reference
+// over randomized tables.
 #include "src/exec/group_index.h"
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
-#include <unordered_map>
 
 #include "src/table/table_builder.h"
 #include "src/util/rng.h"
@@ -20,21 +21,20 @@ namespace {
 // Naive reference: first-seen dense ids via a node-based key map.
 struct ReferenceIndex {
   std::vector<uint32_t> row_groups;
-  std::vector<GroupKey> keys;
+  std::vector<std::vector<int64_t>> keys;
   std::vector<uint64_t> sizes;
 };
 
 ReferenceIndex NaiveIndex(const Table& table, const std::vector<size_t>& cols,
                           const std::vector<uint32_t>* rows) {
   ReferenceIndex out;
-  std::unordered_map<GroupKey, uint32_t, GroupKeyHash> index;
+  std::map<std::vector<int64_t>, uint32_t> index;
   const size_t n = rows != nullptr ? rows->size() : table.num_rows();
-  GroupKey key;
-  key.codes.resize(cols.size());
+  std::vector<int64_t> key(cols.size());
   for (size_t i = 0; i < n; ++i) {
     const size_t r = rows != nullptr ? (*rows)[i] : i;
     for (size_t j = 0; j < cols.size(); ++j) {
-      key.codes[j] = table.column(cols[j]).GroupCode(r);
+      key[j] = table.column(cols[j]).GroupCode(r);
     }
     auto [it, inserted] =
         index.try_emplace(key, static_cast<uint32_t>(out.keys.size()));
@@ -54,7 +54,7 @@ void ExpectMatchesReference(const GroupIndex& gidx, const ReferenceIndex& ref) {
   // First-seen id assignment must agree exactly, not just up to relabeling.
   EXPECT_EQ(gidx.row_groups(), ref.row_groups);
   for (size_t g = 0; g < gidx.num_groups(); ++g) {
-    EXPECT_EQ(gidx.KeyOf(g), ref.keys[g]) << "group " << g;
+    EXPECT_EQ(KeyCodes(gidx, g), ref.keys[g]) << "group " << g;
     EXPECT_EQ(gidx.sizes()[g], ref.sizes[g]) << "group " << g;
   }
 }
@@ -97,8 +97,8 @@ TEST(GroupIndexTest, SingleSmallIntColumnIsDirectTier) {
   EXPECT_EQ(gidx.tier(), GroupIndex::Tier::kDirect);
   ASSERT_EQ(gidx.num_groups(), 3u);
   EXPECT_EQ(gidx.row_groups(), (std::vector<uint32_t>{0, 1, 0, 2, 1}));
-  EXPECT_EQ(gidx.KeyOf(0), (GroupKey{{-7}}));
-  EXPECT_EQ(gidx.KeyOf(2), (GroupKey{{100}}));
+  EXPECT_EQ(KeyCodes(gidx, 0), (std::vector<int64_t>{-7}));
+  EXPECT_EQ(KeyCodes(gidx, 2), (std::vector<int64_t>{100}));
 }
 
 TEST(GroupIndexTest, SingleWideIntColumnFallsToPackedHash) {
@@ -131,7 +131,7 @@ TEST(GroupIndexTest, MultiColumnSmallDomainsAreDirectTier) {
   EXPECT_EQ(gidx.tier(), GroupIndex::Tier::kDirect);
   ASSERT_EQ(gidx.num_groups(), 4u);
   EXPECT_EQ(gidx.row_groups(), (std::vector<uint32_t>{0, 1, 2, 3, 0}));
-  EXPECT_EQ(gidx.KeyOf(1), (GroupKey{{0, 1}}));  // code of "a", int 1
+  EXPECT_EQ(KeyCodes(gidx, 1), (std::vector<int64_t>{0, 1}));  // code of "a", int 1
 }
 
 TEST(GroupIndexTest, MultiColumnPackableIsPackedTier) {
@@ -153,7 +153,7 @@ TEST(GroupIndexTest, UnpackableKeysFallToWideTier) {
   EXPECT_EQ(gidx.tier(), GroupIndex::Tier::kWide);
   ASSERT_EQ(gidx.num_groups(), 3u);
   EXPECT_EQ(gidx.row_groups(), (std::vector<uint32_t>{0, 1, 2, 0, 1}));
-  EXPECT_EQ(gidx.KeyOf(0), (GroupKey{{0, -2 * huge}}));
+  EXPECT_EQ(KeyCodes(gidx, 0), (std::vector<int64_t>{0, -2 * huge}));
 }
 
 TEST(GroupIndexTest, EmptyAttrsYieldSingleGroup) {
@@ -161,7 +161,7 @@ TEST(GroupIndexTest, EmptyAttrsYieldSingleGroup) {
   ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {}));
   ASSERT_EQ(gidx.num_groups(), 1u);
   EXPECT_EQ(gidx.sizes()[0], t.num_rows());
-  EXPECT_TRUE(gidx.KeyOf(0).codes.empty());
+  EXPECT_TRUE(KeyCodes(gidx, 0).empty());
 }
 
 TEST(GroupIndexTest, ResolveRejectsDoubleColumns) {
@@ -330,7 +330,9 @@ TEST(RadixBuildTest, PartitionArtifactIsConsistent) {
 TEST(RadixBuildTest, AutoHeuristicEngagesOnHugeCardinality) {
   // A ~100k-group int key over 2^30 spread (packed tier) at n >= 65536:
   // the automatic path must engage when parallel and stay off serially —
-  // with bit-identical ids either way.
+  // with bit-identical ids either way. The automatic decision is pinned, so
+  // a CVOPT_AGG_PATH in the environment cannot move it.
+  ScopedAggPath pin_auto(2);
   Schema schema({{"k", DataType::kInt64}});
   TableBuilder b(schema);
   Rng rng(99);
@@ -396,7 +398,7 @@ TEST_P(GroupBuildSimdParityFuzz, BuildsBitIdenticalScalarVsVector) {
       EXPECT_EQ(vec_sub.row_groups(), scalar_sub.row_groups());
       EXPECT_EQ(vec_sub.sizes(), scalar_sub.sizes());
       for (size_t g = 0; g < vec.num_groups(); ++g) {
-        ASSERT_EQ(vec.KeyOf(g), scalar.KeyOf(g)) << "group " << g;
+        ASSERT_EQ(KeyCodes(vec, g), KeyCodes(scalar, g)) << "group " << g;
       }
     }
   }
@@ -453,7 +455,7 @@ TEST_P(RouterBatchParityFuzz, RouteBatchMatchesPerRowRoute) {
       ASSERT_EQ(batched.num_groups(), serial.num_groups());
       EXPECT_EQ(batched.packed(), serial.packed());
       for (size_t g = 0; g < serial.num_groups(); ++g) {
-        ASSERT_EQ(batched.KeyOf(g), serial.KeyOf(g)) << "group " << g;
+        ASSERT_EQ(KeyCodes(batched, g), KeyCodes(serial, g)) << "group " << g;
       }
     }
   }
@@ -462,25 +464,57 @@ TEST_P(RouterBatchParityFuzz, RouteBatchMatchesPerRowRoute) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RouterBatchParityFuzz, testing::Range(0, 4));
 
-TEST(GroupKeyInternerTest, AssignsDenseFirstSeenIds) {
-  GroupKeyInterner interner;
-  EXPECT_EQ(interner.Intern(GroupKey{{1, 2}}), 0u);
-  EXPECT_EQ(interner.Intern(GroupKey{{2, 1}}), 1u);
-  EXPECT_EQ(interner.Intern(GroupKey{{1, 2}}), 0u);
-  EXPECT_EQ(interner.Intern(GroupKey{{}}), 2u);
-  EXPECT_EQ(interner.size(), 3u);
-  EXPECT_EQ(interner.keys()[1], (GroupKey{{2, 1}}));
+// RouteKeyColumns deduplicates flat keys in first-seen order through a
+// projection of their columns, across slot-table growth and field widening.
+TEST(RouteKeyColumnsTest, ProjectsAndDedupsInFirstSeenOrder) {
+  // Keys (x, y, z) with stride 3; route (z, x).
+  const std::vector<int64_t> codes = {1, 9, 2,  2, 9, 1,  1, 8, 2,
+                                      5, 0, -3, 2, 7, 1};
+  StreamGroupRouter router(std::vector<DataType>(2, DataType::kInt64));
+  std::vector<uint32_t> ids(5);
+  RouteKeyColumns(codes.data(), 5, 3, {2, 0}, &router, ids.data());
+  EXPECT_EQ(ids, (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+  EXPECT_EQ(router.codes(), (std::vector<int64_t>{2, 1, 1, 2, -3, 5}));
+
+  StreamGroupRouter grown(std::vector<DataType>(2, DataType::kInt64));
+  std::vector<int64_t> pairs;
+  for (int64_t i = 0; i < 5000; ++i) {
+    pairs.push_back(i);
+    pairs.push_back(i % 2 == 0 ? -i : i << 40);
+  }
+  std::vector<uint32_t> first(5000), again(5000);
+  RouteKeyColumns(pairs.data(), 5000, 2, {0, 1}, &grown, first.data());
+  RouteKeyColumns(pairs.data(), 5000, 2, {0, 1}, &grown, again.data());
+  std::vector<uint32_t> want(5000);
+  std::iota(want.begin(), want.end(), 0u);
+  EXPECT_EQ(first, want);
+  EXPECT_EQ(again, want);
+  EXPECT_EQ(grown.codes(), pairs);
+
+  // No columns: every key is the one empty key.
+  StreamGroupRouter none(std::vector<DataType>{});
+  RouteKeyColumns(codes.data(), 5, 3, {}, &none, ids.data());
+  EXPECT_EQ(ids, (std::vector<uint32_t>(5, 0u)));
+  EXPECT_EQ(none.num_groups(), 1u);
 }
 
-TEST(GroupKeyInternerTest, SurvivesGrowth) {
-  GroupKeyInterner interner(4);
-  for (int64_t i = 0; i < 5000; ++i) {
-    ASSERT_EQ(interner.Intern(GroupKey{{i, -i}}), static_cast<uint32_t>(i));
-  }
-  for (int64_t i = 0; i < 5000; ++i) {
-    ASSERT_EQ(interner.Intern(GroupKey{{i, -i}}), static_cast<uint32_t>(i));
-  }
-  EXPECT_EQ(interner.size(), 5000u);
+TEST(AppendKeyLabelTest, RendersDictionaryStringsAndDecimals) {
+  Table t = MakeTypedTable({-4, 7}, {0, 0}, {"b", "a"});
+  const KeyDicts dicts = KeyDictsOf(t, {0, 1});
+  ASSERT_EQ(dicts.size(), 2u);
+  EXPECT_EQ(dicts[1], nullptr);
+  std::string out = "pre:";
+  const int64_t key[] = {1, -4};
+  AppendKeyLabel(key, dicts, &out);
+  EXPECT_EQ(out, "pre:a|-4");
+  // A code outside the dictionary renders as <code>.
+  const int64_t stray[] = {9, INT64_MIN};
+  out.clear();
+  AppendKeyLabel(stray, dicts, &out);
+  EXPECT_EQ(out, "<9>|-9223372036854775808");
+  out.clear();
+  AppendKeyLabel(nullptr, KeyDicts{}, &out);
+  EXPECT_EQ(out, "");
 }
 
 }  // namespace

@@ -492,31 +492,27 @@ TEST(FilteredStratificationTest, DownstreamConsumersSkipExcludedRows) {
   }
 }
 
-TEST(IngestDenseTest, RejectsCollisionsWithExistingGroups) {
+TEST(IngestDenseTest, RejectsMismatchedShapesAndIngestsNothing) {
   Table t = MakeStudentTable();
-  QuerySpec q;
-  q.group_by = {"college"};
-  q.aggregates = {AggSpec::Count()};
-  ASSERT_OK_AND_ASSIGN(QueryResult r, ExecuteExact(t, q));
-  EXPECT_EQ(r.num_groups(), 2u);
-  // A second dense ingest of the same groups collides and ingests nothing.
   ASSERT_OK_AND_ASSIGN(GroupIndex gidx, GroupIndex::Build(t, {"college"}));
   std::vector<uint64_t> counts(gidx.sizes().begin(), gidx.sizes().end());
   std::vector<double> finals(gidx.num_groups(), 0.0);
-  Status st = r.IngestDense(gidx, counts, finals);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(r.num_groups(), 2u);
-  // Find stays consistent (and the lazy index serves repeated lookups).
-  for (size_t i = 0; i < r.num_groups(); ++i) {
-    auto f = r.Find(r.key(i));
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(*f, i);
-  }
-  // AddGroup after a dense ingest still detects duplicates.
-  Status dup = r.AddGroup(r.key(0), r.label(0), {1.0});
-  EXPECT_FALSE(dup.ok());
-  EXPECT_EQ(dup.code(), StatusCode::kAlreadyExists);
+  // Key arity differs from the result's grouping attributes.
+  QueryResult wide({"COUNT(*)"}, {"college", "major"});
+  Status st = wide.IngestDense(gidx, counts, finals);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(wide.num_groups(), 0u);
+  // One final per group is missing.
+  QueryResult r({"COUNT(*)"}, {"college"});
+  finals.pop_back();
+  st = r.IngestDense(gidx, counts, finals);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(r.num_groups(), 0u);
+  finals.push_back(0.0);
+  ASSERT_OK(r.IngestDense(gidx, counts, finals));
+  ASSERT_EQ(r.num_groups(), 2u);
+  EXPECT_EQ(r.label(0), "Science");
+  EXPECT_EQ(KeyCodes(r, 1), KeyCodes(gidx, 1));
 }
 
 // ------------------------------------------- SIMD-vs-scalar parity fuzz

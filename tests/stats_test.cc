@@ -1,4 +1,4 @@
-// Tests for src/stats: RunningStats (incl. merge properties), GroupKey,
+// Tests for src/stats: RunningStats (incl. merge properties),
 // GroupStatsTable, CollectGroupStats.
 #include <gtest/gtest.h>
 
@@ -103,23 +103,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   EXPECT_TRUE(a == snapshot);
   b.Merge(a);  // merging into empty copies
   EXPECT_TRUE(b == snapshot);
-}
-
-TEST(GroupKeyTest, EqualityAndHash) {
-  GroupKey a{{1, 2}}, b{{1, 2}}, c{{2, 1}};
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a == c);
-  GroupKeyHash h;
-  EXPECT_EQ(h(a), h(b));
-  EXPECT_NE(h(a), h(c));
-}
-
-TEST(GroupKeyTest, RenderUsesDictionary) {
-  Table t = MakeStudentTable();
-  ASSERT_OK_AND_ASSIGN(size_t major_idx, t.ColumnIndex("major"));
-  ASSERT_OK_AND_ASSIGN(size_t age_idx, t.ColumnIndex("age"));
-  GroupKey k{{t.column(major_idx).GetCode(0), 25}};
-  EXPECT_EQ(k.Render(t, {major_idx, age_idx}), "CS|25");
 }
 
 TEST(GroupStatsTableTest, ShapeAndAccess) {

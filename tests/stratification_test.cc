@@ -53,7 +53,7 @@ TEST(StratificationTest, RowStrataConsistentWithKeys) {
   ASSERT_OK_AND_ASSIGN(const Column* college, t.ColumnByName("college"));
   for (size_t r = 0; r < t.num_rows(); ++r) {
     const uint32_t c = s.StratumOfRow(r);
-    EXPECT_EQ(s.key(c).codes[0], college->GetCode(r));
+    EXPECT_EQ(s.key_codes(c)[0], college->GetCode(r));
   }
 }
 
@@ -74,12 +74,56 @@ TEST(StratificationTest, ProjectOntoSubset) {
   // Every stratum maps to the college its major belongs to.
   for (size_t c = 0; c < s.num_strata(); ++c) {
     const uint32_t parent = proj.stratum_to_parent[c];
-    const std::string parent_label =
-        proj.parent_keys[parent].Render(t, proj.parent_column_indices);
+    std::string parent_label;
+    AppendKeyLabel(proj.parent_key(parent),
+                   KeyDictsOf(t, proj.parent_column_indices), &parent_label);
     const std::string strat_label = s.Label(c);
     EXPECT_NE(strat_label.find(parent_label), std::string::npos)
         << strat_label << " vs " << parent_label;
   }
+}
+
+// Parent ids follow first-seen stratum order, not sorted key order, and
+// parent_codes list each parent's key in the sub-attribute order asked
+// for. Ints first appear as 5, 1, 3 and strings as z, y, x, so a sorted
+// assignment would differ from the first-seen one in both columns.
+TEST(StratificationTest, ProjectParentsFollowFirstSeenOrder) {
+  Schema schema({{"a", DataType::kInt64}, {"b", DataType::kString}});
+  TableBuilder builder(schema);
+  const std::vector<std::pair<int64_t, std::string>> rows = {
+      {5, "z"}, {1, "y"}, {5, "x"}, {3, "z"}, {1, "z"}, {5, "z"}};
+  for (const auto& [a, b] : rows) {
+    ASSERT_OK(builder.AppendRow({Value(a), Value(b)}));
+  }
+  Table t = std::move(builder).Finish();
+  ASSERT_OK_AND_ASSIGN(Stratification s, Stratification::Build(t, {"a", "b"}));
+  ASSERT_EQ(s.num_strata(), 5u);  // (5,z) (1,y) (5,x) (3,z) (1,z)
+  ASSERT_OK_AND_ASSIGN(const Column* b, t.ColumnByName("b"));
+  const int64_t z = b->LookupCode("z"), y = b->LookupCode("y"),
+                x = b->LookupCode("x");
+
+  ASSERT_OK_AND_ASSIGN(Stratification::Projection by_a, s.Project({"a"}));
+  EXPECT_EQ(by_a.stratum_to_parent, (std::vector<uint32_t>{0, 1, 0, 2, 1}));
+  EXPECT_EQ(by_a.parent_codes, (std::vector<int64_t>{5, 1, 3}));
+  EXPECT_EQ(by_a.parent_sizes, (std::vector<uint64_t>{3, 2, 1}));
+
+  ASSERT_OK_AND_ASSIGN(Stratification::Projection by_b, s.Project({"b"}));
+  EXPECT_EQ(by_b.stratum_to_parent, (std::vector<uint32_t>{0, 1, 2, 0, 0}));
+  EXPECT_EQ(by_b.parent_codes, (std::vector<int64_t>{z, y, x}));
+  EXPECT_EQ(by_b.parent_sizes, (std::vector<uint64_t>{4, 1, 1}));
+
+  // Sub-attributes in another order than the stratification's: keys are
+  // laid out (b, a), and every stratum is its own parent.
+  ASSERT_OK_AND_ASSIGN(Stratification::Projection by_ba,
+                       s.Project({"b", "a"}));
+  EXPECT_EQ(by_ba.stratum_to_parent, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(by_ba.parent_codes,
+            (std::vector<int64_t>{z, 5, y, 1, x, 5, z, 3, z, 1}));
+  EXPECT_EQ(by_ba.parent_column_indices, (std::vector<size_t>{1, 0}));
+  std::string label;
+  AppendKeyLabel(by_ba.parent_key(2),
+                 KeyDictsOf(t, by_ba.parent_column_indices), &label);
+  EXPECT_EQ(label, "x|5");
 }
 
 TEST(StratificationTest, ProjectOntoEmptyIsFullTable) {
@@ -121,7 +165,7 @@ TEST(StratificationTest, LargerTableStrataSizes) {
   EXPECT_EQ(s.num_strata(), 5u);
   // Group g has (g+1)*10 rows; match by key code.
   for (size_t c = 0; c < s.num_strata(); ++c) {
-    const int64_t g = s.key(c).codes[0];
+    const int64_t g = s.key_codes(c)[0];
     EXPECT_EQ(s.sizes()[c], static_cast<uint64_t>((g + 1) * 10));
   }
 }

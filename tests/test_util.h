@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "src/exec/agg_planner.h"
 #include "src/exec/group_index.h"
 #include "src/exec/parallel.h"
 #include "src/exec/query_result.h"
@@ -46,6 +47,31 @@ class ScopedRadixOverride {
   }
   ~ScopedRadixOverride() { GroupIndex::SetRadixOverrideForTesting(-1, 0); }
 };
+
+/// Forces the aggregation path for the lifetime of the scope (see
+/// SetAggPathOverrideForTesting: 0 hash, 1 sort, 2 pins the automatic
+/// decision even under CVOPT_AGG_PATH), restoring the default resolution
+/// on exit.
+class ScopedAggPath {
+ public:
+  explicit ScopedAggPath(int mode) { SetAggPathOverrideForTesting(mode); }
+  ~ScopedAggPath() { SetAggPathOverrideForTesting(-1); }
+};
+
+/// Key codes of group g of an index, router or result, as a vector.
+inline std::vector<int64_t> KeyCodes(const GroupIndex& gidx, size_t g) {
+  std::vector<int64_t> codes;
+  gidx.AppendKeyCodes(g, &codes);
+  return codes;
+}
+inline std::vector<int64_t> KeyCodes(const StreamGroupRouter& router,
+                                     size_t g) {
+  const int64_t* key = router.codes().data() + g * router.arity();
+  return std::vector<int64_t>(key, key + router.arity());
+}
+inline std::vector<int64_t> KeyCodes(const QueryResult& r, size_t i) {
+  return std::vector<int64_t>(r.key_codes(i), r.key_codes(i) + r.key_arity(i));
+}
 
 #define ASSERT_OK(expr)                                         \
   do {                                                          \

@@ -112,13 +112,13 @@ TEST(WorkloadTest, WeightFnReturnsDeducedFrequencies) {
   }
   // Group key for major=CS.
   ASSERT_OK_AND_ASSIGN(const Column* major, t.ColumnByName("major"));
-  GroupKey cs{{major->LookupCode("CS")}};
-  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, cs, gpa_idx), 35.0);
-  GroupKey ee{{major->LookupCode("EE")}};
-  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, ee, gpa_idx), 20.0);
+  const int64_t cs = major->LookupCode("CS");
+  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, &cs, gpa_idx), 35.0);
+  const int64_t ee = major->LookupCode("EE");
+  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, &ee, gpa_idx), 20.0);
   // Unknown group -> weight 0.
-  GroupKey bogus{{9999}};
-  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, bogus, gpa_idx), 0.0);
+  const int64_t bogus = 9999;
+  EXPECT_DOUBLE_EQ(input.options.group_weight_fn(qi, &bogus, gpa_idx), 0.0);
 }
 
 TEST(WorkloadTest, DeducedInputDrivesAllocation) {
