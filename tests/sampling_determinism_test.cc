@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/exec/cube.h"
 #include "src/exec/parallel.h"
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
@@ -114,6 +116,107 @@ TEST(SamplingDeterminismTest, DigestsMatchAcrossThreadCountsAndGoldens) {
         << c.name << ": drawn row set changed for a fixed seed; if the new "
         << "sampling behaviour is intended, repin the golden to 0x" << std::hex
         << serial;
+  }
+}
+
+// 33000 rows over 10 x 5 strata (sizes 120*(g+1) per h value), enough for
+// the statistics pass to split into several deterministic chunks. Two
+// integer-valued double columns: v (the cube's column) and w (a second
+// column that two further queries read).
+const Table& WorkloadTable() {
+  static const Table* t = [] {
+    Schema schema({{"g", DataType::kString},
+                   {"h", DataType::kInt64},
+                   {"v", DataType::kDouble},
+                   {"w", DataType::kDouble}});
+    TableBuilder b(schema);
+    Rng gen(202);
+    for (int g = 0; g < 10; ++g) {
+      const std::string label = "g" + std::to_string(g);
+      const int n = (g + 1) * 600;
+      for (int i = 0; i < n; ++i) {
+        const int64_t h = static_cast<int64_t>(i % 5);
+        const double v = static_cast<double>(
+            100 * (g + 1) +
+            static_cast<int64_t>(gen.Uniform(40 * (10 - g))) - 20 * (10 - g));
+        const double w = static_cast<double>(
+            10 * (h + 1) + static_cast<int64_t>(gen.Uniform(8 * (g + 1))));
+        CVOPT_CHECK(
+            b.AppendRow({Value(label), Value(h), Value(v), Value(w)}).ok(),
+            "append failed");
+      }
+    }
+    return new Table(std::move(b).Finish());
+  }();
+  return *t;
+}
+
+// A workload whose queries share value streams: the 4 grouping sets of a
+// 2-attribute cube repeat SUM(v), AVG(v), COUNT and COUNT_IF(v > 500), and
+// two more queries read w (one of them also rebuilds the cube's COUNT_IF
+// filter as a separate but equal predicate).
+std::vector<QuerySpec> SharedStreamWorkload() {
+  QuerySpec base;
+  base.name = "cube";
+  base.group_by = {"g", "h"};
+  base.aggregates = {
+      AggSpec::Sum("v"), AggSpec::Avg("v"), AggSpec::Count(),
+      AggSpec::CountIf(Predicate::Compare("v", CompareOp::kGt, Value(500.0)))};
+  std::vector<QuerySpec> queries = ExpandCube(base);
+  QuerySpec by_g;
+  by_g.name = "w_by_g";
+  by_g.group_by = {"g"};
+  by_g.aggregates = {AggSpec::Avg("w")};
+  queries.push_back(by_g);
+  QuerySpec by_h;
+  by_h.name = "w_by_h";
+  by_h.group_by = {"h"};
+  by_h.aggregates = {
+      AggSpec::Sum("w", 2.0),
+      AggSpec::CountIf(Predicate::Compare("v", CompareOp::kGt, Value(500.0)))};
+  by_h.weight = 0.5;
+  queries.push_back(by_h);
+  return queries;
+}
+
+// FNV-1a over the allocation sizes and the bit patterns of the betas.
+uint64_t DigestPlan(const AllocationPlan& plan) {
+  uint64_t h = 1469598103934665603ULL;
+  for (uint64_t s : plan.allocation.sizes) h = (h ^ s) * 1099511628211ULL;
+  for (double b : plan.betas) {
+    uint64_t bits;
+    std::memcpy(&bits, &b, sizeof(bits));
+    h = (h ^ bits) * 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(SamplingDeterminismTest, SharedStreamWorkloadMatchesGoldens) {
+  static const RlSampler rl;
+  static const CvoptSampler cvopt;
+  const std::vector<QuerySpec> queries = SharedStreamWorkload();
+  const uint64_t kRlGolden = 0x98d5509cbdb2f792ULL;
+  const uint64_t kCvoptGolden = 0x2090bb0fd355421fULL;
+  const uint64_t kCvoptPlanGolden = 0xfb5adffd65097f7bULL;
+  for (int threads : {1, 2, 3, 8}) {
+    ScopedExecThreads scope(threads);
+    for (const auto& [sampler, golden] :
+         {std::make_pair(static_cast<const Sampler*>(&rl), kRlGolden),
+          std::make_pair(static_cast<const Sampler*>(&cvopt), kCvoptGolden)}) {
+      Rng rng(515151);
+      auto s = sampler->Build(WorkloadTable(), queries, 1500, &rng);
+      ASSERT_TRUE(s.ok()) << s.status().ToString();
+      const uint64_t d = DigestRows(s->rows());
+      EXPECT_EQ(d, golden)
+          << sampler->name() << " at " << threads << " threads: drawn row set "
+          << "changed for a fixed seed; if intended, repin to 0x" << std::hex
+          << d;
+    }
+    ASSERT_OK_AND_ASSIGN(AllocationPlan plan,
+                         cvopt.Plan(WorkloadTable(), queries, 1500));
+    EXPECT_EQ(DigestPlan(plan), kCvoptPlanGolden)
+        << "CVOPT plan changed at " << threads << " threads; if intended, "
+        << "repin to 0x" << std::hex << DigestPlan(plan);
   }
 }
 
