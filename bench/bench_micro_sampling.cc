@@ -5,6 +5,7 @@
 #include "bench/bench_threading.h"
 #include "src/datagen/openaq_gen.h"
 #include "src/estimate/approx_executor.h"
+#include "src/exec/cube.h"
 #include "src/exec/group_index.h"
 #include "src/sample/congress_sampler.h"
 #include "src/sample/cvopt_sampler.h"
@@ -48,6 +49,27 @@ BENCHMARK(BM_SamplerBuild<UniformSampler>)->Name("BM_Build_Uniform");
 BENCHMARK(BM_SamplerBuild<CongressSampler>)->Name("BM_Build_Congress");
 BENCHMARK(BM_SamplerBuild<RlSampler>)->Name("BM_Build_RL");
 BENCHMARK(BM_SamplerBuild<CvoptSampler>)->Name("BM_Build_CVOPT");
+
+// The 4 grouping sets of a 2-attribute cube sharing two aggregates (the
+// Table 4 MAMG shape): the statistics stage collects each of the two value
+// streams once for the whole workload, not once per grouping set.
+template <typename SamplerT>
+void BM_SamplerBuildCube(benchmark::State& state) {
+  const Table& t = BenchTable();
+  QuerySpec base = TargetQuery();
+  base.aggregates = {AggSpec::Sum("value"), AggSpec::Sum("latitude")};
+  const std::vector<QuerySpec> cube = ExpandCube(base);
+  SamplerT sampler;
+  Rng rng(13);
+  const uint64_t budget = t.num_rows() / 100;
+  for (auto _ : state) {
+    auto sample = sampler.Build(t, cube, budget, &rng);
+    benchmark::DoNotOptimize(sample);
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_rows());
+}
+BENCHMARK(BM_SamplerBuildCube<RlSampler>)->Name("BM_Build_RLCube");
+BENCHMARK(BM_SamplerBuildCube<CvoptSampler>)->Name("BM_Build_CVOPTCube");
 
 void BM_ApproxQuery(benchmark::State& state) {
   const Table& t = BenchTable();

@@ -63,11 +63,9 @@ Result<AllocationPlan> PlanCvoptAllocation(const Table& table,
           "CvNorm::kLinf is defined for a single aggregate and a single "
           "group-by (Section 5 of the paper)");
     }
-    CVOPT_ASSIGN_OR_RETURN(
-        BoundAggregates bound,
-        BoundAggregates::Bind(table, queries[0].aggregates));
-    CVOPT_ASSIGN_OR_RETURN(GroupStatsTable stats,
-                           CollectGroupStats(S, bound.sources()));
+    CVOPT_ASSIGN_OR_RETURN(WorkloadStats workload_stats,
+                           CollectWorkloadStats(table, S, queries));
+    const WorkloadStats::QueryStats stats = workload_stats.query(0);
     std::vector<double> sigmas(r), mus(r);
     for (size_t c = 0; c < r; ++c) {
       sigmas[c] = stats.At(c, 0).stddev_population();
@@ -82,13 +80,13 @@ Result<AllocationPlan> PlanCvoptAllocation(const Table& table,
     return plan;
   }
 
-  // l2 norm: accumulate the general beta_c over all queries and aggregates.
+  // l2 norm: accumulate the general beta_c over all queries and aggregates,
+  // each distinct value stream's statistics collected once for all of them.
+  CVOPT_ASSIGN_OR_RETURN(WorkloadStats workload_stats,
+                         CollectWorkloadStats(table, S, queries));
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const QuerySpec& q = queries[qi];
-    CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
-                           BoundAggregates::Bind(table, q.aggregates));
-    CVOPT_ASSIGN_OR_RETURN(GroupStatsTable stats,
-                           CollectGroupStats(S, bound.sources()));
+    const WorkloadStats::QueryStats stats = workload_stats.query(qi);
     CVOPT_ASSIGN_OR_RETURN(Stratification::Projection proj,
                            S.Project(q.group_by));
 

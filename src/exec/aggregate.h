@@ -2,6 +2,7 @@
 #ifndef CVOPT_EXEC_AGGREGATE_H_
 #define CVOPT_EXEC_AGGREGATE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -55,6 +56,15 @@ struct AggSpec {
   /// e.g. "AVG(value)" or "COUNT_IF(value > 0.04)".
   std::string Label() const;
 };
+
+/// Binds one aggregate's value stream against the table: a numeric column
+/// for AVG/SUM/VARIANCE/MEDIAN, the constant 1 for COUNT, and for COUNT_IF
+/// the filter evaluated into a fresh 0/1 indicator stored in `*indicator`,
+/// which must outlive the returned source. Fails on unknown columns,
+/// string-typed aggregation columns, or kCountIf without a filter.
+Result<StatSource> BindValueStream(
+    const Table& table, const AggSpec& agg,
+    std::unique_ptr<std::vector<uint8_t>>* indicator);
 
 /// Owns materialized value streams (COUNT_IF indicators) and exposes one
 /// StatSource per aggregate, suitable for CollectGroupStats.

@@ -24,11 +24,11 @@ Result<StratifiedSample> RlSampler::Build(const Table& table,
   const double per_query_budget =
       static_cast<double>(budget) / static_cast<double>(queries.size());
 
-  for (const auto& q : queries) {
-    CVOPT_ASSIGN_OR_RETURN(BoundAggregates bound,
-                           BoundAggregates::Bind(table, q.aggregates));
-    CVOPT_ASSIGN_OR_RETURN(GroupStatsTable stats,
-                           CollectGroupStats(*shared, bound.sources()));
+  CVOPT_ASSIGN_OR_RETURN(WorkloadStats workload_stats,
+                         CollectWorkloadStats(table, *shared, queries));
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const QuerySpec& q = queries[qi];
+    const WorkloadStats::QueryStats stats = workload_stats.query(qi);
     CVOPT_ASSIGN_OR_RETURN(Stratification::Projection proj,
                            shared->Project(q.group_by));
     const size_t num_groups = proj.num_parents();
@@ -78,7 +78,10 @@ Result<StratifiedSample> RlSampler::Build(const Table& table,
     sizes[c] = std::min<uint64_t>(s, shared->sizes()[c]);
   }
 
-  // Never exceed the budget overall: trim from the largest allocations.
+  // Trim from the largest allocations down to the budget, but never below
+  // one row per non-empty stratum: RL's minimal representation takes
+  // priority, so a budget below the number of non-empty strata yields one
+  // row per such stratum, which exceeds the budget.
   uint64_t total = 0;
   for (uint64_t s : sizes) total += s;
   while (total > budget) {

@@ -5,6 +5,15 @@
 
 namespace cvopt {
 
+RunningStats RunningStats::Constant(uint64_t count, double x) {
+  RunningStats rs;
+  if (count == 0) return rs;
+  rs.count_ = count;
+  rs.mean_ = x;
+  rs.min_ = rs.max_ = x;
+  return rs;
+}
+
 void RunningStats::Add(double x) {
   if (count_ == 0) {
     min_ = max_ = x;

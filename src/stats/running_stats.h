@@ -12,6 +12,12 @@ class RunningStats {
  public:
   RunningStats() = default;
 
+  /// The statistics of `count` observations of the finite value `x`: count,
+  /// mean x, M2 0, min and max x (default-constructed when count is 0).
+  /// Bit-identical to `count` Add(x) calls merged in any chunking, since
+  /// every Welford and Chan delta after the first observation is exactly 0.
+  static RunningStats Constant(uint64_t count, double x);
+
   /// Adds one observation.
   void Add(double x);
 

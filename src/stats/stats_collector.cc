@@ -1,8 +1,12 @@
 #include "src/stats/stats_collector.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
+#include "src/exec/aggregate.h"
 #include "src/exec/parallel.h"
+#include "src/exec/query.h"
 #include "src/exec/query_context.h"
 
 namespace cvopt {
@@ -89,6 +93,44 @@ void AccumulateSourceLists(const uint32_t* srows, const size_t* sbase,
   });
 }
 
+// What an aggregate's value stream reads. AVG, SUM, VARIANCE and MEDIAN of
+// a column read the column; COUNT reads the constant 1; COUNT_IF reads its
+// filter's indicator, identified by the filter's structural fingerprint
+// with the rendered form as the collision guard (as the plan cache keys).
+struct StreamKey {
+  enum class Kind { kColumn, kConstant, kIndicator } kind = Kind::kConstant;
+  std::string name;  // column name, or the filter's ToString()
+  uint64_t fingerprint = 0;
+
+  bool operator==(const StreamKey& o) const {
+    return kind == o.kind && fingerprint == o.fingerprint && name == o.name;
+  }
+};
+
+StreamKey KeyOf(const AggSpec& agg) {
+  StreamKey key;
+  switch (agg.func) {
+    case AggFunc::kAvg:
+    case AggFunc::kSum:
+    case AggFunc::kVariance:
+    case AggFunc::kMedian:
+      key.kind = StreamKey::Kind::kColumn;
+      key.name = agg.column;
+      break;
+    case AggFunc::kCount:
+      key.kind = StreamKey::Kind::kConstant;
+      break;
+    case AggFunc::kCountIf:
+      key.kind = StreamKey::Kind::kIndicator;
+      if (agg.filter != nullptr) {  // else binding reports the error
+        key.fingerprint = agg.filter->Fingerprint();
+        key.name = agg.filter->ToString();
+      }
+      break;
+  }
+  return key;
+}
+
 // Deterministic chunk count for the statistics pass: a pure function of the
 // input shape (rows, strata), never of the resolved thread count or the
 // ExecOptions morsel grain. The samplers' determinism contract (seed ->
@@ -114,6 +156,21 @@ size_t DeterministicStatChunks(size_t n, size_t strata) {
   return std::max<size_t>(1, chunks);
 }
 
+// Fills every constant (COUNT) source's column from the stratum sizes:
+// RunningStats::Constant(n_c, 1.0) is bit-identical to the n_c Add(1.0)
+// calls a row pass would make, merged across any chunking.
+void FillConstantSources(const Stratification& strat,
+                         const std::vector<StatSource>& sources,
+                         GroupStatsTable* stats) {
+  const std::vector<uint64_t>& sizes = strat.sizes();
+  for (size_t j = 0; j < sources.size(); ++j) {
+    if (!sources[j].constant_one) continue;
+    for (size_t c = 0; c < sizes.size(); ++c) {
+      stats->At(c, j) = RunningStats::Constant(sizes[c], 1.0);
+    }
+  }
+}
+
 // Shared collection core: accumulate per-chunk GroupStatsTables over a
 // thread-count-independent chunking and merge them in chunk order (Chan et
 // al. pairwise merge). `num_threads` only bounds the pool fan-out (0 = the
@@ -122,7 +179,8 @@ size_t DeterministicStatChunks(size_t n, size_t strata) {
 // no partials. When the stratification already carries per-stratum row
 // lists (partitioned builds), the accumulation walks the lists instead of
 // re-scanning row_strata — same chunk boundaries, same per-(stratum,
-// source, chunk) Add sequences, identical output.
+// source, chunk) Add sequences, identical output. Constant sources skip the
+// row loops and are filled from the stratum sizes.
 Result<GroupStatsTable> CollectImpl(const Stratification& strat,
                                     const std::vector<StatSource>& sources,
                                     int num_threads) {
@@ -139,44 +197,43 @@ Result<GroupStatsTable> CollectImpl(const Stratification& strat,
     srows = strat.stratum_rows().data();
     sbase = strat.stratum_row_base().data();
   }
-  const size_t chunks = DeterministicStatChunks(n, strata);
-  if (chunks <= 1) {
-    GroupStatsTable stats(strata, sources.size());
+  // Accumulates the row-reading sources over table rows [lo, hi).
+  auto accumulate = [&](size_t lo, size_t hi, bool whole,
+                        GroupStatsTable* out) {
     for (size_t j = 0; j < sources.size(); ++j) {
+      if (sources[j].constant_one) continue;
       if (use_lists) {
-        AccumulateSourceLists(srows, sbase, strata, 0, n, /*whole=*/true,
-                              sources[j], j, &stats);
+        AccumulateSourceLists(srows, sbase, strata, lo, hi, whole, sources[j],
+                              j, out);
       } else {
-        AccumulateSource(row_strata, 0, n, sources[j], j, &stats);
+        AccumulateSource(row_strata, lo, hi, sources[j], j, out);
       }
     }
-    return stats;
+  };
+  const size_t chunks = DeterministicStatChunks(n, strata);
+  GroupStatsTable stats;
+  if (chunks <= 1) {
+    stats = GroupStatsTable(strata, sources.size());
+    accumulate(0, n, /*whole=*/true, &stats);
+  } else {
+    MemoryReservation partials_res = ReserveMemoryOrThrow(
+        chunks * strata * sources.size() * sizeof(RunningStats),
+        "per-chunk statistics tables");
+    std::vector<GroupStatsTable> partials(
+        chunks, GroupStatsTable(strata, sources.size()));
+    ParallelForChunks(
+        n, chunks,
+        [&](size_t c, size_t lo, size_t hi) {
+          accumulate(lo, hi, /*whole=*/false, &partials[c]);
+        },
+        num_threads);
+    stats = std::move(partials[0]);
+    for (size_t c = 1; c < chunks; ++c) {
+      CVOPT_RETURN_NOT_OK(stats.Merge(partials[c]));
+    }
   }
-
-  MemoryReservation partials_res = ReserveMemoryOrThrow(
-      chunks * strata * sources.size() * sizeof(RunningStats),
-      "per-chunk statistics tables");
-  std::vector<GroupStatsTable> partials(
-      chunks, GroupStatsTable(strata, sources.size()));
-  ParallelForChunks(
-      n, chunks,
-      [&](size_t c, size_t lo, size_t hi) {
-        GroupStatsTable& local = partials[c];
-        for (size_t j = 0; j < sources.size(); ++j) {
-          if (use_lists) {
-            AccumulateSourceLists(srows, sbase, strata, lo, hi,
-                                  /*whole=*/false, sources[j], j, &local);
-          } else {
-            AccumulateSource(row_strata, lo, hi, sources[j], j, &local);
-          }
-        }
-      },
-      num_threads);
-  GroupStatsTable merged = std::move(partials[0]);
-  for (size_t c = 1; c < chunks; ++c) {
-    CVOPT_RETURN_NOT_OK(merged.Merge(partials[c]));
-  }
-  return merged;
+  FillConstantSources(strat, sources, &stats);
+  return stats;
  });
 }
 
@@ -191,6 +248,46 @@ Result<GroupStatsTable> CollectGroupStatsParallel(
     const Stratification& strat, const std::vector<StatSource>& sources,
     int num_threads) {
   return CollectImpl(strat, sources, num_threads);
+}
+
+Result<WorkloadStats> CollectWorkloadStats(
+    const Table& table, const Stratification& strat,
+    const std::vector<QuerySpec>& queries) {
+  WorkloadStats out;
+  out.refs_.resize(queries.size());
+  // Every stream seen so far, in first-seen order, and where it lives.
+  std::vector<StreamKey> seen;
+  std::vector<WorkloadStats::StreamRef> seen_refs;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    const std::vector<AggSpec>& aggs = queries[qi].aggregates;
+    const uint32_t table_id = static_cast<uint32_t>(out.tables_.size());
+    // This query's new streams: bound here, collected in one call below.
+    std::vector<StatSource> fresh;
+    std::vector<std::unique_ptr<std::vector<uint8_t>>> indicators;
+    std::vector<WorkloadStats::StreamRef>& refs = out.refs_[qi];
+    refs.reserve(aggs.size());
+    for (const AggSpec& agg : aggs) {
+      const StreamKey key = KeyOf(agg);
+      const auto it = std::find(seen.begin(), seen.end(), key);
+      if (it != seen.end()) {
+        refs.push_back(seen_refs[it - seen.begin()]);
+        continue;
+      }
+      std::unique_ptr<std::vector<uint8_t>> indicator;
+      CVOPT_ASSIGN_OR_RETURN(StatSource src,
+                             BindValueStream(table, agg, &indicator));
+      if (indicator != nullptr) indicators.push_back(std::move(indicator));
+      seen.push_back(key);
+      seen_refs.push_back({table_id, static_cast<uint32_t>(fresh.size())});
+      refs.push_back(seen_refs.back());
+      fresh.push_back(src);
+    }
+    if (fresh.empty()) continue;
+    CVOPT_ASSIGN_OR_RETURN(GroupStatsTable stats,
+                           CollectGroupStats(strat, fresh));
+    out.tables_.push_back(std::move(stats));
+  }
+  return out;
 }
 
 }  // namespace cvopt

@@ -188,6 +188,22 @@ TEST(RlSamplerTest, TruncatesWithoutRedistribution) {
   EXPECT_LT(s.size(), 200u);
 }
 
+TEST(RlSamplerTest, MinimalRepresentationOutranksBudget) {
+  // 10 non-empty strata and a budget of 3: the trim stops at one row per
+  // stratum, so the sample holds 10 rows, above the budget.
+  Table t = MakeSkewedTable(10, 20);
+  Rng rng(5);
+  RlSampler rl;
+  ASSERT_OK_AND_ASSIGN(StratifiedSample s,
+                       rl.Build(t, {SkewedQuery()}, 3, &rng));
+  ASSERT_NE(s.stratification(), nullptr);
+  EXPECT_EQ(s.stratification()->num_strata(), 10u);
+  EXPECT_EQ(s.size(), 10u);
+  std::vector<int> per(10, 0);
+  for (uint32_t r : s.rows()) per[s.stratification()->StratumOfRow(r)]++;
+  for (int n : per) EXPECT_EQ(n, 1);
+}
+
 TEST(SampleSeekSamplerTest, BiasedTowardLargeValues) {
   Schema schema({{"g", DataType::kString}, {"v", DataType::kDouble}});
   TableBuilder b(schema);

@@ -1,11 +1,16 @@
 // Tests for src/stats: RunningStats (incl. merge properties),
-// GroupStatsTable, CollectGroupStats.
+// GroupStatsTable, CollectGroupStats, CollectWorkloadStats.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "src/core/cvopt_allocator.h"
 #include "src/core/stratification.h"
+#include "src/exec/aggregate.h"
+#include "src/exec/query.h"
+#include "src/expr/plan_cache.h"
 #include "src/stats/group_stats.h"
 #include "src/stats/running_stats.h"
 #include "src/stats/stats_collector.h"
@@ -188,6 +193,207 @@ TEST(CollectGroupStatsTest, RejectsInvalidSources) {
   StatSource str_col;
   str_col.column = major;
   EXPECT_FALSE(CollectGroupStats(strat, {str_col}).ok());
+}
+
+// Bit-for-bit equality of every observable field.
+void ExpectSameBits(const RunningStats& got, const RunningStats& want,
+                    const std::string& where) {
+  auto bits = [](double x) {
+    uint64_t b;
+    std::memcpy(&b, &x, sizeof(b));
+    return b;
+  };
+  EXPECT_EQ(got.count(), want.count()) << where;
+  EXPECT_EQ(bits(got.mean()), bits(want.mean())) << where;
+  EXPECT_EQ(bits(got.variance_population()), bits(want.variance_population()))
+      << where;
+  EXPECT_EQ(bits(got.min()), bits(want.min())) << where;
+  EXPECT_EQ(bits(got.max()), bits(want.max())) << where;
+  EXPECT_TRUE(got == want) << where;
+}
+
+// Per-row Add(1.0) in row order, the reference the size fill must match.
+std::vector<RunningStats> PerRowCounts(const Stratification& strat) {
+  std::vector<RunningStats> ref(strat.num_strata());
+  for (uint32_t s : strat.row_strata()) {
+    if (s != Stratification::kNoStratum) ref[s].Add(1.0);
+  }
+  return ref;
+}
+
+TEST(CollectGroupStatsTest, ConstantSourceFilledFromSizesMatchesRowAdds) {
+  // 33000 rows over 10 strata: the statistics pass splits into several
+  // deterministic chunks. The filter excludes rows (kNoStratum), whole
+  // groups among them. The public builds never leave a stratum of a keyed
+  // stratification empty, so the empty stratum comes from a second,
+  // attribute-less build whose filter keeps no row.
+  Table t = MakeSkewedTable(10, 600);
+  ASSERT_OK_AND_ASSIGN(
+      Stratification filtered,
+      Stratification::Build(t, {"g"},
+                            Predicate::Compare("v", CompareOp::kGt,
+                                               Value(25.0))));
+  ASSERT_OK_AND_ASSIGN(
+      Stratification empty,
+      Stratification::Build(t, {},
+                            Predicate::Compare("v", CompareOp::kGt,
+                                               Value(1e9))));
+  ASSERT_EQ(empty.num_strata(), 1u);
+  ASSERT_EQ(empty.sizes()[0], 0u);
+  size_t excluded = 0;
+  for (uint32_t s : filtered.row_strata()) {
+    excluded += s == Stratification::kNoStratum;
+  }
+  ASSERT_GT(excluded, 0u);
+  ASSERT_LT(excluded, t.num_rows());
+
+  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("v"));
+  StatSource col;
+  col.column = v;
+  StatSource one;
+  one.constant_one = true;
+  for (const Stratification* strat : {&filtered, &empty}) {
+    const std::vector<RunningStats> ref = PerRowCounts(*strat);
+    for (int threads : {1, 3, 8}) {
+      ScopedExecThreads scope(threads);
+      ASSERT_OK_AND_ASSIGN(GroupStatsTable alone,
+                           CollectGroupStats(*strat, {one}));
+      // Collected together with a row-reading source, too.
+      ASSERT_OK_AND_ASSIGN(GroupStatsTable mixed,
+                           CollectGroupStats(*strat, {col, one}));
+      for (size_t c = 0; c < strat->num_strata(); ++c) {
+        const std::string where = "stratum " + std::to_string(c) + " at " +
+                                  std::to_string(threads) + " threads";
+        ExpectSameBits(alone.At(c, 0), ref[c], where);
+        ExpectSameBits(mixed.At(c, 1), ref[c], where);
+      }
+    }
+  }
+}
+
+TEST(CollectGroupStatsTest, SourcesCollectedTogetherMatchCollectedAlone) {
+  Table t = MakeSkewedTable(10, 600);
+  ASSERT_OK_AND_ASSIGN(Stratification strat, Stratification::Build(t, {"g"}));
+  ASSERT_OK_AND_ASSIGN(const Column* v, t.ColumnByName("v"));
+  ASSERT_OK_AND_ASSIGN(const Column* g, t.ColumnByName("g"));
+  std::vector<uint8_t> ind(t.num_rows());
+  for (size_t r = 0; r < t.num_rows(); ++r) ind[r] = v->GetDouble(r) > 30.0;
+  std::vector<StatSource> sources(3);
+  sources[0].column = v;
+  sources[1].indicator = &ind;
+  sources[2].column = g;
+  ASSERT_OK_AND_ASSIGN(GroupStatsTable together,
+                       CollectGroupStats(strat, sources));
+  for (size_t j = 0; j < sources.size(); ++j) {
+    ASSERT_OK_AND_ASSIGN(GroupStatsTable alone,
+                         CollectGroupStats(strat, {sources[j]}));
+    for (size_t c = 0; c < strat.num_strata(); ++c) {
+      ExpectSameBits(together.At(c, j), alone.At(c, 0),
+                     "source " + std::to_string(j));
+    }
+  }
+}
+
+QuerySpec Query(std::vector<std::string> group_by, std::vector<AggSpec> aggs) {
+  QuerySpec q;
+  q.group_by = std::move(group_by);
+  q.aggregates = std::move(aggs);
+  return q;
+}
+
+PredicatePtr SatAbove(int64_t x) {
+  return Predicate::Compare("sat", CompareOp::kGt, Value(x));
+}
+
+TEST(CollectWorkloadStatsTest, OneStreamPerColumnAcrossAggregateFunctions) {
+  Table t = MakeStudentTable();
+  ASSERT_OK_AND_ASSIGN(Stratification strat,
+                       Stratification::Build(t, {"major"}));
+  const std::vector<QuerySpec> queries = {
+      Query({"major"}, {AggSpec::Avg("gpa"), AggSpec::Count()}),
+      Query({}, {AggSpec::Sum("gpa"), AggSpec::Variance("gpa")}),
+      Query({"major"}, {AggSpec::Median("gpa"), AggSpec::Avg("age"),
+                        AggSpec::Count()})};
+  ASSERT_OK_AND_ASSIGN(WorkloadStats ws,
+                       CollectWorkloadStats(t, strat, queries));
+  // Three streams: gpa, the constant, age.
+  const WorkloadStats::StreamRef gpa = ws.stream(0, 0);
+  EXPECT_TRUE(ws.stream(1, 0) == gpa);
+  EXPECT_TRUE(ws.stream(1, 1) == gpa);
+  EXPECT_TRUE(ws.stream(2, 0) == gpa);
+  EXPECT_TRUE(ws.stream(2, 2) == ws.stream(0, 1));
+  EXPECT_FALSE(ws.stream(2, 1) == gpa);
+  EXPECT_FALSE(ws.stream(0, 1) == gpa);
+  EXPECT_FALSE(ws.stream(2, 1) == ws.stream(0, 1));
+
+  // Every query's view is what collecting its own aggregates alone gives.
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    ASSERT_OK_AND_ASSIGN(BoundAggregates bound,
+                         BoundAggregates::Bind(t, queries[qi].aggregates));
+    ASSERT_OK_AND_ASSIGN(GroupStatsTable alone,
+                         CollectGroupStats(strat, bound.sources()));
+    const WorkloadStats::QueryStats view = ws.query(qi);
+    for (size_t c = 0; c < strat.num_strata(); ++c) {
+      for (size_t j = 0; j < queries[qi].aggregates.size(); ++j) {
+        ExpectSameBits(view.At(c, j), alone.At(c, j),
+                       "query " + std::to_string(qi) + " aggregate " +
+                           std::to_string(j));
+      }
+    }
+  }
+}
+
+TEST(CollectWorkloadStatsTest, EqualFiltersShareOneStreamAndOneEvaluation) {
+  Table t = MakeStudentTable();
+  ASSERT_OK_AND_ASSIGN(Stratification strat,
+                       Stratification::Build(t, {"college"}));
+  // Two separately built but structurally equal filters, and a third that
+  // differs only in its literal.
+  const std::vector<QuerySpec> queries = {
+      Query({"college"}, {AggSpec::CountIf(SatAbove(1240))}),
+      Query({}, {AggSpec::CountIf(SatAbove(1240)),
+                 AggSpec::CountIf(SatAbove(1250))})};
+  ClearPlanCache();
+  ASSERT_OK_AND_ASSIGN(WorkloadStats ws,
+                       CollectWorkloadStats(t, strat, queries));
+  const PlanCacheStats cache = GetPlanCacheStats();
+  ClearPlanCache();
+  // One compile per distinct filter: the repeated one is never evaluated.
+  EXPECT_EQ(cache.hits + cache.misses, 2u);
+  EXPECT_TRUE(ws.stream(1, 0) == ws.stream(0, 0));
+  EXPECT_FALSE(ws.stream(1, 1) == ws.stream(0, 0));
+  // sat > 1240: Science 1250, 1280, 1270 -> 3 of 4.
+  for (size_t c = 0; c < strat.num_strata(); ++c) {
+    if (strat.Label(c) == "Science") {
+      EXPECT_DOUBLE_EQ(ws.query(1).At(c, 0).mean(), 0.75);
+    }
+  }
+}
+
+TEST(CollectWorkloadStatsTest, LaterBindFailureReturnsPerQueryStatus) {
+  Table t = MakeStudentTable();
+  ASSERT_OK_AND_ASSIGN(Stratification strat,
+                       Stratification::Build(t, {"major"}));
+  AggSpec no_filter = AggSpec::CountIf(nullptr);
+  const std::vector<std::vector<AggSpec>> bad_lists = {
+      {AggSpec::Avg("gpa"), AggSpec::Avg("missing")},
+      {AggSpec::Sum("major")},
+      {AggSpec::Count(), no_filter},
+      {AggSpec::CountIf(
+          Predicate::Compare("nope", CompareOp::kGt, Value(int64_t{1})))}};
+  for (const std::vector<AggSpec>& bad : bad_lists) {
+    const Status want = BoundAggregates::Bind(t, bad).status();
+    ASSERT_FALSE(want.ok());
+    const std::vector<QuerySpec> queries = {
+        Query({"major"}, {AggSpec::Avg("gpa"), AggSpec::Count()}),
+        Query({}, bad)};
+    Result<WorkloadStats> got = CollectWorkloadStats(t, strat, queries);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().ToString(), want.ToString());
+    Result<AllocationPlan> plan = PlanCvoptAllocation(t, queries, 4);
+    ASSERT_FALSE(plan.ok());
+    EXPECT_EQ(plan.status().ToString(), want.ToString());
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 # Thread-scaling variants (<bench>Parallel/<threads>) land in a separate
 # "parallel_items_per_second" section keyed by thread count, alongside the
 # machine's hardware_concurrency so scaling numbers can be read in context.
+# Benches that report latency counters (bench_micro_server's p50_us and
+# p99_us round-trip percentiles) land in "latency_us", keyed by bench name.
 #
 # Single runs on a noisy host swing ±15-25% even on untouched code paths,
 # which makes one-shot deltas meaningless; --repeats N runs the whole suite
@@ -112,28 +114,40 @@ import sys
 tmp_dir, repeats, out_path = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 commit, dirty = sys.argv[4], sys.argv[5] == "true"
 
-def items_per_second(path):
-    with open(path) as f:
-        report = json.load(f)
-    return {
-        b["name"]: b["items_per_second"]
-        for b in report["benchmarks"]
-        if "items_per_second" in b
-    }
+LATENCY_COUNTERS = ("p50_us", "p99_us")
 
-# Per-bench median across the repeated runs (both suites merged per run).
+def load_benchmarks(path):
+    with open(path) as f:
+        return json.load(f)["benchmarks"]
+
+# Per-bench median across the repeated runs (all suites merged per run):
+# throughput, and the latency counters of the benches that report them.
 runs = []
+latency_runs = []
 for rep in range(repeats):
     run = {}
-    run.update(items_per_second(os.path.join(tmp_dir, f"groupby_{rep}.json")))
-    run.update(items_per_second(os.path.join(tmp_dir, f"sampling_{rep}.json")))
-    run.update(items_per_second(os.path.join(tmp_dir, f"storage_{rep}.json")))
-    run.update(items_per_second(os.path.join(tmp_dir, f"governance_{rep}.json")))
-    run.update(items_per_second(os.path.join(tmp_dir, f"server_{rep}.json")))
+    latency = {}
+    for suite in ("groupby", "sampling", "storage", "governance", "server"):
+        for b in load_benchmarks(os.path.join(tmp_dir, f"{suite}_{rep}.json")):
+            if "items_per_second" in b:
+                run[b["name"]] = b["items_per_second"]
+            counters = {c: b[c] for c in LATENCY_COUNTERS if c in b}
+            if counters:
+                latency[b["name"]] = counters
     runs.append(run)
+    latency_runs.append(latency)
 measured = {
     name: round(statistics.median(run[name] for run in runs if name in run))
     for name in runs[0]
+}
+latency_us = {
+    name: {
+        c: round(statistics.median(
+            run[name][c] for run in latency_runs
+            if c in run.get(name, {})), 1)
+        for c in counters
+    }
+    for name, counters in latency_runs[0].items()
 }
 current = {k: v for k, v in measured.items() if "Parallel/" not in k}
 parallel = {k: v for k, v in measured.items() if "Parallel/" in k}
@@ -185,7 +199,9 @@ doc["description"] = (
     "miss (stratified-sample build) every iteration, BM_ServerExact runs "
     "the exact engine over the 500k-row base table, and "
     "BM_ServerCatalogHitParallel/<threads> is aggregate throughput with "
-    "one connection per benchmark thread."
+    "one connection per benchmark thread. latency_us holds the per-bench "
+    "median of the p50_us / p99_us round-trip counters the BM_Server* "
+    "benches report."
 )
 doc["commit"] = commit
 doc["dirty"] = dirty
@@ -225,6 +241,7 @@ def parallel_key(name):
 doc["parallel_items_per_second"] = dict(
     sorted(parallel.items(), key=lambda kv: parallel_key(kv[0]))
 )
+doc["latency_us"] = latency_us
 if baseline:
     doc["speedup_vs_seed"] = {
         name: round(current[name] / baseline[name], 2)
@@ -242,4 +259,6 @@ for name in sorted(current):
     print(f"  {name}: {current[name]:,} items/s{speed}")
 for name in doc["parallel_items_per_second"]:
     print(f"  {name}: {parallel[name]:,} items/s")
+for name, counters in latency_us.items():
+    print(f"  {name}: " + ", ".join(f"{c} {v}" for c, v in counters.items()))
 PY
